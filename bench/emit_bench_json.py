@@ -25,8 +25,9 @@ packages.
 Net mode (--net): reduces a net_loadgen JSON report to the BENCH_net.json
 scorecard — closed-loop round-trip latency and pipelined throughput per
 transport (TCP vs Unix socket, or the remote endpoint in --connect runs),
-shed/throttle fractions, and the wire accounting invariant (every frame
-sent came back as exactly one reply; nothing failed in the stack).
+shed/throttle fractions, the wire accounting invariant (every frame
+sent came back as exactly one reply; nothing failed in the stack), and,
+for self-hosted runs, the reactor's send() calls per reply frame.
 
 Attack mode (--attack): reduces a redteam_campaign JSON report to the
 BENCH_attack.json scorecard — the evasion-transfer vs. epoch-period
@@ -172,6 +173,9 @@ def emit_net(argv):
         and totals.get("server_failed", 0) == 0
         and totals.get("server_in_flight", 0) == 0,
         "server_throttled": totals.get("server_throttled", 0),
+        # send() calls per reply frame (self-hosted runs only; None when
+        # driving an external server).
+        "write_calls_per_frame": totals.get("write_calls_per_frame"),
         "epoch_swaps": totals.get("epoch_swaps"),
         "config": raw.get("config", {}),
     }

@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
   cli.add_flag("connect", "drive an external server at this endpoint instead", "");
   cli.add_flag("workers", "scoring workers, self-hosted mode (0 = all cores)", "0");
   cli.add_flag("queue", "ring capacity, self-hosted mode", "256");
-  cli.add_flag("clients", "closed-loop connections", "4");
+  cli.add_flag("clients", "closed-loop connections (0 skips the closed-loop phases)", "4");
   cli.add_flag("window", "pipelined in-flight requests", "64");
   cli.add_flag("duration-s", "seconds per phase", "2");
   cli.add_flag("windows", "feature windows per request", "16");
@@ -314,9 +314,11 @@ int main(int argc, char** argv) {
     phases.push_back(std::move(polite));
   } else {
     for (const auto& [tag, ep] : transports) {
-      std::fprintf(stderr, "%s closed loop: %zu connections x %.1fs against %s...\n",
-                   tag.c_str(), n_clients, duration_s, ep.to_string().c_str());
-      phases.push_back(run_closed(ep, n_clients, duration_s, workload, tag + "_closed"));
+      if (n_clients > 0) {
+        std::fprintf(stderr, "%s closed loop: %zu connections x %.1fs against %s...\n",
+                     tag.c_str(), n_clients, duration_s, ep.to_string().c_str());
+        phases.push_back(run_closed(ep, n_clients, duration_s, workload, tag + "_closed"));
+      }
       std::fprintf(stderr, "%s pipelined: window %zu x %.1fs...\n", tag.c_str(), window,
                    duration_s);
       phases.push_back(run_pipelined(ep, window, duration_s, workload, tag + "_pipelined"));
@@ -342,10 +344,17 @@ int main(int argc, char** argv) {
   std::uint64_t server_in_flight = 0;
   std::uint64_t epoch_swaps = 0;
   std::uint64_t server_throttled = 0;
+  // Reactor syscall batching: send() calls per reply frame (< 1 once
+  // replies share writes) — self-hosted only, printed as null otherwise.
+  std::string write_calls_per_frame = "null";
   if (server) {
+    server->stop();
     const net::NetServerStats net_stats = server->stats();
     server_throttled = net_stats.throttled_responses;
-    server->stop();
+    if (net_stats.frames_out > 0) {
+      write_calls_per_frame = std::to_string(static_cast<double>(net_stats.write_calls) /
+                                             static_cast<double>(net_stats.frames_out));
+    }
     service->close();
     const serve::ServiceStatsSnapshot stats = service->stats();
     server_failed = stats.failed;
@@ -379,13 +388,14 @@ int main(int argc, char** argv) {
                "    \"server_failed\": %llu,\n"
                "    \"server_in_flight\": %llu,\n"
                "    \"server_throttled\": %llu,\n"
+               "    \"write_calls_per_frame\": %s,\n"
                "    \"epoch_swaps\": %llu\n"
                "  }\n}\n",
                accounting_ok ? "true" : "false",
                static_cast<unsigned long long>(server_failed),
                static_cast<unsigned long long>(server_in_flight),
                static_cast<unsigned long long>(server_throttled),
-               static_cast<unsigned long long>(epoch_swaps));
+               write_calls_per_frame.c_str(), static_cast<unsigned long long>(epoch_swaps));
   if (out != stdout) std::fclose(out);
   return accounting_ok ? 0 : 1;
 }

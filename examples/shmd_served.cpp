@@ -132,10 +132,13 @@ int main(int argc, char** argv) {
   const serve::ServiceStatsSnapshot stats = service.stats();
   const net::NetServerStats nstats = server.stats();
   std::printf(
-      "shmd-served: done. conns=%llu frames_in=%llu scored=%llu shed=%llu "
-      "epoch_swaps=%llu protocol_errors=%llu\n",
+      "shmd-served: done. conns=%llu frames_in=%llu frames_out=%llu write_calls=%llu "
+      "wakeups=%llu scored=%llu shed=%llu epoch_swaps=%llu protocol_errors=%llu\n",
       static_cast<unsigned long long>(nstats.accepted_connections),
       static_cast<unsigned long long>(nstats.frames_in),
+      static_cast<unsigned long long>(nstats.frames_out),
+      static_cast<unsigned long long>(nstats.write_calls),
+      static_cast<unsigned long long>(nstats.wakeups),
       static_cast<unsigned long long>(stats.scored),
       static_cast<unsigned long long>(stats.shed),
       static_cast<unsigned long long>(stats.epoch_swaps),

@@ -97,17 +97,18 @@ void NetClient::apply_recv_deadline() {
 }
 
 void NetClient::send_frame(FrameType type, std::uint64_t request_id,
-                           std::vector<std::uint8_t> payload) {
+                           std::span<const std::uint8_t> payload) {
+  send_buf_.clear();
+  append_frame(type, request_id, payload, send_buf_);
+  send_buffered();
+}
+
+void NetClient::send_buffered() {
   if (fd_ < 0) throw std::runtime_error("NetClient: not connected");
-  Frame frame;
-  frame.type = type;
-  frame.request_id = request_id;
-  frame.payload = std::move(payload);
-  std::vector<std::uint8_t> wire;
-  encode_frame(frame, wire);
   std::size_t at = 0;
-  while (at < wire.size()) {
-    const ssize_t n = ::send(fd_, wire.data() + at, wire.size() - at, MSG_NOSIGNAL);
+  while (at < send_buf_.size()) {
+    const ssize_t n =
+        ::send(fd_, send_buf_.data() + at, send_buf_.size() - at, MSG_NOSIGNAL);
     if (n > 0) {
       at += static_cast<std::size_t>(n);
       continue;
@@ -186,14 +187,18 @@ std::optional<serve::ServiceStatsSnapshot> NetClient::stats() {
 }
 
 std::uint64_t NetClient::send_score(const ScoreRequest& request) {
-  const std::uint64_t id = next_id_++;
-  send_frame(FrameType::kScore, id, encode_score_request(request));
-  return id;
+  return send_request(FrameType::kScore, request);
 }
 
 std::uint64_t NetClient::send_verdict(const ScoreRequest& request) {
+  return send_request(FrameType::kVerdict, request);
+}
+
+std::uint64_t NetClient::send_request(FrameType type, const ScoreRequest& request) {
   const std::uint64_t id = next_id_++;
-  send_frame(FrameType::kVerdict, id, encode_score_request(request));
+  send_buf_.clear();
+  append_score_request(type, id, request, send_buf_);
+  send_buffered();
   return id;
 }
 

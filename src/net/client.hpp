@@ -16,12 +16,15 @@
 // one sender thread may call send_score()/try-send while exactly one
 // reader thread calls recv_reply() — the two directions share only the
 // socket fd, which is full-duplex. Do not mix the sync calls with a
-// concurrent reader thread.
+// concurrent reader thread. Send-side state (the reused encode buffer) and
+// receive-side state (the frame decoder) are kept disjoint for exactly
+// this split.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -107,7 +110,11 @@ class NetClient {
 
  private:
   void send_frame(FrameType type, std::uint64_t request_id,
-                  std::vector<std::uint8_t> payload);
+                  std::span<const std::uint8_t> payload);
+  /// Encode a kScore/kVerdict frame into send_buf_ and write it.
+  std::uint64_t send_request(FrameType type, const ScoreRequest& request);
+  /// Write send_buf_ (one encoded frame) to the socket in full.
+  void send_buffered();
   void apply_recv_deadline();
   Frame read_frame();  ///< blocking; throws on EOF / garbage / deadline
   static Reply to_reply(Frame frame);
@@ -115,6 +122,9 @@ class NetClient {
   int fd_ = -1;
   std::uint64_t next_id_ = 1;
   std::chrono::milliseconds recv_deadline_{0};  ///< 0 = wait forever
+  // The sender owns send_buf_ (reused frame encode buffer) and the reader
+  // owns decoder_; the two directions share only fd_.
+  std::vector<std::uint8_t> send_buf_;
   FrameDecoder decoder_;
 };
 

@@ -1,60 +1,56 @@
 #include "net/frame.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 
 namespace shmd::net {
 
 namespace {
 
-// Little-endian primitives. Writers append to a byte vector; the reader
-// walks a span with explicit bounds checks and a sticky ok flag, so a
-// truncated or hostile payload yields nullopt instead of UB.
+// Little-endian primitives over raw bytes. Writers store into storage the
+// caller has already sized; the reader walks a span with explicit bounds
+// checks and a sticky ok flag, so a truncated or hostile payload yields
+// nullopt instead of UB. On a little-endian host both directions compile
+// to a plain unaligned load or store.
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+template <typename T>
+std::uint8_t* put(std::uint8_t* p, T v) {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return p + sizeof v;
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+std::uint8_t* put_f64(std::uint8_t* p, double v) {
+  return put(p, std::bit_cast<std::uint64_t>(v));
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
+template <typename T>
+T load(const std::uint8_t* p) {
+  static_assert(std::is_unsigned_v<T>);
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) v |= static_cast<T>(T{p[i]} << (8 * i));
+  }
+  return v;
 }
 
 class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
-  std::uint8_t u8() { return take(1) ? bytes_[at_ - 1] : 0; }
-
-  std::uint16_t u16() {
-    if (!take(2)) return 0;
-    return static_cast<std::uint16_t>(std::uint16_t{bytes_[at_ - 2]} |
-                                      (std::uint16_t{bytes_[at_ - 1]} << 8));
-  }
-
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{bytes_[at_ - 4 + i]} << (8 * i);
-    return v;
-  }
-
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{bytes_[at_ - 8 + i]} << (8 * i);
-    return v;
-  }
-
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint16_t u16() { return get<std::uint16_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
   double f64() { return std::bit_cast<double>(u64()); }
 
   std::span<const std::uint8_t> raw(std::size_t n) {
@@ -69,6 +65,11 @@ class Reader {
   [[nodiscard]] std::size_t remaining() const noexcept { return bytes_.size() - at_; }
 
  private:
+  template <typename T>
+  T get() {
+    return take(sizeof(T)) ? load<T>(bytes_.data() + at_ - sizeof(T)) : T{0};
+  }
+
   bool take(std::size_t n) {
     if (!ok_ || bytes_.size() - at_ < n) {
       ok_ = false;
@@ -83,49 +84,148 @@ class Reader {
   bool ok_ = true;
 };
 
-std::uint32_t read_u32_at(const std::vector<std::uint8_t>& buffer, std::size_t offset) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{buffer[offset + i]} << (8 * i);
-  return v;
-}
-
-std::uint64_t read_u64_at(const std::vector<std::uint8_t>& buffer, std::size_t offset) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{buffer[offset + i]} << (8 * i);
-  return v;
-}
-
 bool known_type(std::uint8_t type) {
   return type <= static_cast<std::uint8_t>(FrameType::kVerdictResult);
 }
 
+// -- payload writers ---------------------------------------------------------
+//
+// One (payload_size, write_payload) pair per payload type: the single
+// definition of its layout, shared by the in-place frame writers and the
+// payload-only encoders.
+
+constexpr std::size_t kResultFixedSize = 24;  // outcome, verdict, u16, epoch, latency, count
+
+std::size_t payload_size(const ScoreRequest& req) {
+  std::size_t doubles = 0;
+  for (const std::vector<double>& window : req.windows) doubles += window.size();
+  return kScoreRequestFixedSize + 8 * doubles;
+}
+
+void write_payload(std::uint8_t* p, const ScoreRequest& req) {
+  *p++ = req.view;
+  *p++ = 0;                      // reserved
+  p = put(p, std::uint16_t{0});  // reserved
+  p = put(p, req.period);
+  p = put(p, req.deadline_us);
+  p = put(p, static_cast<std::uint32_t>(req.windows.size()));
+  p = put(p, static_cast<std::uint32_t>(req.width));
+  for (const std::vector<double>& window : req.windows) {
+    for (const double x : window) p = put_f64(p, x);
+  }
+}
+
+std::size_t payload_size(const ScoreResult& result) {
+  return kResultFixedSize + 8 * result.scores.size();
+}
+
+std::uint8_t* write_result_head(std::uint8_t* p, std::uint8_t outcome, bool verdict,
+                                std::uint64_t epoch_id, std::uint64_t latency_ns,
+                                std::size_t count) {
+  *p++ = outcome;
+  *p++ = verdict ? 1 : 0;
+  p = put(p, std::uint16_t{0});  // reserved
+  p = put(p, epoch_id);
+  p = put(p, latency_ns);
+  return put(p, static_cast<std::uint32_t>(count));
+}
+
+void write_payload(std::uint8_t* p, const ScoreResult& result) {
+  p = write_result_head(p, result.outcome, result.verdict, result.epoch_id, result.latency_ns,
+                        result.scores.size());
+  for (const double s : result.scores) p = put_f64(p, s);
+}
+
+std::size_t payload_size(const VerdictResult& result) {
+  return kResultFixedSize + (result.decisions.size() + 7) / 8;
+}
+
+void write_payload(std::uint8_t* p, const VerdictResult& result) {
+  p = write_result_head(p, result.outcome, result.verdict, result.epoch_id, result.latency_ns,
+                        result.decisions.size());
+  // Decision bits LSB-first; the storage arrives zeroed, so pad bits in
+  // the last byte stay zero as the format requires.
+  for (std::size_t i = 0; i < result.decisions.size(); ++i) {
+    if (result.decisions[i]) p[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+  }
+}
+
+/// Error text travels behind a u16 length, so longer messages are cut.
+std::size_t message_size(const ErrorBody& error) {
+  return std::min<std::size_t>(error.message.size(), 0xFFFF);
+}
+
+std::size_t payload_size(const ErrorBody& error) { return 4 + message_size(error); }
+
+void write_payload(std::uint8_t* p, const ErrorBody& error) {
+  const std::size_t len = message_size(error);
+  p = put(p, static_cast<std::uint16_t>(error.code));
+  p = put(p, static_cast<std::uint16_t>(len));
+  std::memcpy(p, error.message.data(), len);
+}
+
+/// Grow `out` by one whole frame and write its header; returns where the
+/// `payload_len` payload bytes go (already zeroed by the resize).
+std::uint8_t* append_header(FrameType type, std::uint64_t request_id, std::size_t payload_len,
+                            std::vector<std::uint8_t>& out) {
+  const std::size_t at = out.size();
+  out.resize(at + kHeaderSize + payload_len);
+  std::uint8_t* p = out.data() + at;
+  p = put(p, kMagic);
+  *p++ = kProtocolVersion;
+  *p++ = static_cast<std::uint8_t>(type);
+  p = put(p, std::uint16_t{0});  // reserved
+  p = put(p, request_id);
+  return put(p, static_cast<std::uint32_t>(payload_len));
+}
+
+template <typename Payload>
+void append_payload_frame(FrameType type, std::uint64_t request_id, const Payload& payload,
+                          std::vector<std::uint8_t>& out) {
+  write_payload(append_header(type, request_id, payload_size(payload), out), payload);
+}
+
+template <typename Payload>
+std::vector<std::uint8_t> encode_payload(const Payload& payload) {
+  std::vector<std::uint8_t> out(payload_size(payload));
+  write_payload(out.data(), payload);
+  return out;
+}
+
 }  // namespace
 
+void append_frame(FrameType type, std::uint64_t request_id,
+                  std::span<const std::uint8_t> payload, std::vector<std::uint8_t>& out) {
+  std::uint8_t* p = append_header(type, request_id, payload.size(), out);
+  if (!payload.empty()) std::memcpy(p, payload.data(), payload.size());
+}
+
 void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out) {
-  out.reserve(out.size() + kHeaderSize + frame.payload.size());
-  put_u32(out, kMagic);
-  out.push_back(kProtocolVersion);
-  out.push_back(static_cast<std::uint8_t>(frame.type));
-  put_u16(out, 0);  // reserved
-  put_u64(out, frame.request_id);
-  put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
-  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+  append_frame(frame.type, frame.request_id, frame.payload, out);
+}
+
+void append_score_request(FrameType type, std::uint64_t request_id, const ScoreRequest& req,
+                          std::vector<std::uint8_t>& out) {
+  append_payload_frame(type, request_id, req, out);
+}
+
+void append_score_result(std::uint64_t request_id, const ScoreResult& result,
+                         std::vector<std::uint8_t>& out) {
+  append_payload_frame(FrameType::kScoreResult, request_id, result, out);
+}
+
+void append_verdict_result(std::uint64_t request_id, const VerdictResult& result,
+                           std::vector<std::uint8_t>& out) {
+  append_payload_frame(FrameType::kVerdictResult, request_id, result, out);
+}
+
+void append_error(std::uint64_t request_id, const ErrorBody& error,
+                  std::vector<std::uint8_t>& out) {
+  append_payload_frame(FrameType::kError, request_id, error, out);
 }
 
 std::vector<std::uint8_t> encode_score_request(const ScoreRequest& req) {
-  std::vector<std::uint8_t> out;
-  out.reserve(16 + 8 * req.width * req.windows.size());
-  out.push_back(req.view);
-  out.push_back(0);  // reserved
-  put_u16(out, 0);   // reserved
-  put_u32(out, req.period);
-  put_u32(out, req.deadline_us);
-  put_u32(out, static_cast<std::uint32_t>(req.windows.size()));
-  put_u32(out, static_cast<std::uint32_t>(req.width));
-  for (const std::vector<double>& window : req.windows) {
-    for (const double x : window) put_f64(out, x);
-  }
-  return out;
+  return encode_payload(req);
 }
 
 std::optional<ScoreRequest> decode_score_request(std::span<const std::uint8_t> payload) {
@@ -159,16 +259,7 @@ std::optional<ScoreRequest> decode_score_request(std::span<const std::uint8_t> p
 }
 
 std::vector<std::uint8_t> encode_score_result(const ScoreResult& result) {
-  std::vector<std::uint8_t> out;
-  out.reserve(24 + 8 * result.scores.size());
-  out.push_back(result.outcome);
-  out.push_back(result.verdict ? 1 : 0);
-  put_u16(out, 0);  // reserved
-  put_u64(out, result.epoch_id);
-  put_u64(out, result.latency_ns);
-  put_u32(out, static_cast<std::uint32_t>(result.scores.size()));
-  for (const double s : result.scores) put_f64(out, s);
-  return out;
+  return encode_payload(result);
 }
 
 std::optional<ScoreResult> decode_score_result(std::span<const std::uint8_t> payload) {
@@ -188,24 +279,7 @@ std::optional<ScoreResult> decode_score_result(std::span<const std::uint8_t> pay
 }
 
 std::vector<std::uint8_t> encode_verdict_result(const VerdictResult& result) {
-  std::vector<std::uint8_t> out;
-  out.reserve(24 + (result.decisions.size() + 7) / 8);
-  out.push_back(result.outcome);
-  out.push_back(result.verdict ? 1 : 0);
-  put_u16(out, 0);  // reserved
-  put_u64(out, result.epoch_id);
-  put_u64(out, result.latency_ns);
-  put_u32(out, static_cast<std::uint32_t>(result.decisions.size()));
-  std::uint8_t acc = 0;
-  for (std::size_t i = 0; i < result.decisions.size(); ++i) {
-    if (result.decisions[i]) acc |= static_cast<std::uint8_t>(1u << (i % 8));
-    if (i % 8 == 7) {
-      out.push_back(acc);
-      acc = 0;
-    }
-  }
-  if (result.decisions.size() % 8 != 0) out.push_back(acc);
-  return out;
+  return encode_payload(result);
 }
 
 std::optional<VerdictResult> decode_verdict_result(std::span<const std::uint8_t> payload) {
@@ -235,14 +309,7 @@ std::optional<VerdictResult> decode_verdict_result(std::span<const std::uint8_t>
   return result;
 }
 
-std::vector<std::uint8_t> encode_error(const ErrorBody& error) {
-  std::vector<std::uint8_t> out;
-  out.reserve(4 + error.message.size());
-  put_u16(out, static_cast<std::uint16_t>(error.code));
-  put_u16(out, static_cast<std::uint16_t>(error.message.size()));
-  for (const char c : error.message) out.push_back(static_cast<std::uint8_t>(c));
-  return out;
-}
+std::vector<std::uint8_t> encode_error(const ErrorBody& error) { return encode_payload(error); }
 
 std::optional<ErrorBody> decode_error(std::span<const std::uint8_t> payload) {
   Reader r(payload);
@@ -270,7 +337,7 @@ void FrameDecoder::feed(std::span<const std::uint8_t> bytes) {
 std::optional<Frame> FrameDecoder::next() {
   if (failed_ || buffer_.size() - consumed_ < kHeaderSize) return std::nullopt;
   const std::size_t base = consumed_;
-  if (read_u32_at(buffer_, base) != kMagic) {
+  if (load<std::uint32_t>(buffer_.data() + base) != kMagic) {
     fail("bad magic (not a Stochastic-HMD frame stream)");
     return std::nullopt;
   }
@@ -286,7 +353,7 @@ std::optional<Frame> FrameDecoder::next() {
     fail("nonzero reserved header bytes");
     return std::nullopt;
   }
-  const std::uint32_t payload_len = read_u32_at(buffer_, base + 16);
+  const std::uint32_t payload_len = load<std::uint32_t>(buffer_.data() + base + 16);
   if (payload_len > max_payload_) {
     fail("payload length " + std::to_string(payload_len) + " exceeds limit " +
          std::to_string(max_payload_));
@@ -295,7 +362,7 @@ std::optional<Frame> FrameDecoder::next() {
   if (buffer_.size() - base < kHeaderSize + payload_len) return std::nullopt;  // need more
   Frame frame;
   frame.type = static_cast<FrameType>(buffer_[base + 5]);
-  frame.request_id = read_u64_at(buffer_, base + 8);
+  frame.request_id = load<std::uint64_t>(buffer_.data() + base + 8);
   frame.payload.assign(buffer_.begin() + static_cast<std::ptrdiff_t>(base + kHeaderSize),
                        buffer_.begin() +
                            static_cast<std::ptrdiff_t>(base + kHeaderSize + payload_len));

@@ -11,9 +11,9 @@
 //   8       8     request id (client-chosen; echoed verbatim in replies)
 //   16      4     payload length in bytes
 //
-// Everything multi-byte is little-endian by explicit byte shifts — the
-// format is defined by these functions, not by any struct layout or host
-// endianness. Doubles travel as their IEEE-754 bit pattern in a u64, so a
+// Everything multi-byte is little-endian, written and read field by field
+// — the format is defined by these functions, not by any struct layout or
+// host endianness. Doubles travel as their IEEE-754 bit pattern in a u64, so a
 // score is bit-identical on both ends of the wire: the service's
 // determinism contract (fixed seed + admission order => identical scores)
 // survives transport.
@@ -84,6 +84,10 @@ struct Frame {
 /// Append one encoded frame (header + payload) to `out`.
 void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out);
 
+/// Append a frame with an opaque payload (ping/pong, stats) to `out`.
+void append_frame(FrameType type, std::uint64_t request_id,
+                  std::span<const std::uint8_t> payload, std::vector<std::uint8_t>& out);
+
 // -- payload codecs ---------------------------------------------------------
 
 /// kScore payload: one program's feature windows plus the feature-config
@@ -131,6 +135,29 @@ struct ErrorBody {
 
   friend bool operator==(const ErrorBody&, const ErrorBody&) = default;
 };
+
+// -- in-place frame writers -------------------------------------------------
+//
+// One writer per frame type. Each appends a complete frame (header +
+// payload) to `out` with a single resize and direct little-endian stores,
+// so a frame never passes through a separate payload vector; reusing `out`
+// across calls makes encoding allocation-free in steady state. The
+// payload-only encode_* functions below share the same payload writers.
+
+/// kScore or kVerdict frame carrying `req`.
+void append_score_request(FrameType type, std::uint64_t request_id, const ScoreRequest& req,
+                          std::vector<std::uint8_t>& out);
+void append_score_result(std::uint64_t request_id, const ScoreResult& result,
+                         std::vector<std::uint8_t>& out);
+void append_verdict_result(std::uint64_t request_id, const VerdictResult& result,
+                           std::vector<std::uint8_t>& out);
+void append_error(std::uint64_t request_id, const ErrorBody& error,
+                  std::vector<std::uint8_t>& out);
+
+/// Payload codecs (no frame header). kScore payload layout: view u8,
+/// reserved u8, reserved u16, period u32, deadline_us u32, n_windows u32,
+/// width u32, then every window's doubles — 20 + 8 * sum(|window|) bytes.
+inline constexpr std::size_t kScoreRequestFixedSize = 20;
 
 [[nodiscard]] std::vector<std::uint8_t> encode_score_request(const ScoreRequest& req);
 [[nodiscard]] std::optional<ScoreRequest> decode_score_request(

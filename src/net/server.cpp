@@ -83,7 +83,9 @@ class NetServer::Poller {
   /// an unregistered fd would never be polled again, so the caller must
   /// close it rather than leave the connection hanging silently.
   [[nodiscard]] bool set(int fd, bool read, bool write) {
+    const short mask = static_cast<short>((read ? 1 : 0) | (write ? 2 : 0));
     const auto it = interest_.find(fd);
+    if (it != interest_.end() && it->second == mask) return true;  // no syscall
 #ifdef __linux__
     if (epfd_ >= 0) {
       epoll_event ev{};
@@ -96,7 +98,6 @@ class NetServer::Poller {
       }
     }
 #endif
-    const short mask = static_cast<short>((read ? 1 : 0) | (write ? 2 : 0));
     if (it == interest_.end()) {
       interest_.emplace(fd, mask);
     } else {
@@ -178,6 +179,7 @@ struct NetServer::Connection {
   bool close_after_flush = false;  ///< protocol error: drain out, then die
   bool dead = false;               ///< fatal I/O error or peer EOF observed
   bool trusted = true;             ///< inherited from the accepting listener
+  bool flush_queued = false;       ///< already on to_flush_ for this drain
 };
 
 /// One in-flight score: owns the ticket and the feature set for exactly as
@@ -320,12 +322,15 @@ NetServerStats NetServer::stats() const {
   s.throttled_responses = stats_.throttled_responses.load(std::memory_order_relaxed);
   s.rejected_responses = stats_.rejected_responses.load(std::memory_order_relaxed);
   s.throttled_conn_peak = stats_.throttled_conn_peak.load(std::memory_order_relaxed);
+  s.write_calls = stats_.write_calls.load(std::memory_order_relaxed);
+  s.wakeups = stats_.wakeups.load(std::memory_order_relaxed);
   return s;
 }
 
 // -- reactor ----------------------------------------------------------------
 
 void NetServer::wake() noexcept {
+  stats_.wakeups.fetch_add(1, std::memory_order_relaxed);
   const char byte = 1;
   // EAGAIN means a wake is already pending — exactly what we want.
   (void)!::write(wake_fds_[1], &byte, 1);
@@ -355,7 +360,9 @@ void NetServer::event_loop() {
     // so this empties and the loop exits without dropping a reply.
     if (stopping && pending_.empty()) break;
 
-    const auto& events = poller_->wait(stopping ? 20 : 200);
+    // Idle, the reactor sleeps until an fd is ready: completions and stop()
+    // wake it through the pipe, so there is no timeout to hide a lost wake.
+    const auto& events = poller_->wait(stopping ? 20 : -1);
     for (const Poller::Event& ev : events) {
       if (ev.fd == wake_fds_[0]) {
         char buf[256];
@@ -468,27 +475,26 @@ void NetServer::handle_readable(Connection& conn) {
     conn.decoder.feed(std::span<const std::uint8_t>(buf, static_cast<std::size_t>(n)));
     while (std::optional<Frame> frame = conn.decoder.next()) {
       handle_frame(conn, std::move(*frame));
-      if (conn.dead || conn.close_after_flush) break;
+      if (conn.close_after_flush) break;
     }
-    if (conn.decoder.failed() && !conn.dead && !conn.close_after_flush) {
+    if (conn.decoder.failed() && !conn.close_after_flush) {
       // Framing garbage: the one offense that costs the connection.
       stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
       conn.close_after_flush = true;
       send_error(conn, 0, ErrorCode::kBadFrame, conn.decoder.error());
     }
+    // One batch per read: every inline reply it produced leaves in one
+    // flush, which also re-evaluates the read pause before the next recv.
+    (void)flush(conn);  // false <=> conn.dead, which ends the loop
   }
-  if (conn.dead) {
-    close_connection(conn.id);
-    return;
-  }
-  if (conn.close_after_flush && !flush(conn)) close_connection(conn.id);
+  if (conn.dead) close_connection(conn.id);
 }
 
 void NetServer::handle_frame(Connection& conn, Frame frame) {
   stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
   switch (frame.type) {
     case FrameType::kPing:
-      send_frame(conn, FrameType::kPong, frame.request_id, std::move(frame.payload));
+      send_frame(conn, FrameType::kPong, frame.request_id, frame.payload);
       break;
     case FrameType::kScore:
       if (!config_.allow_raw_scores && !conn.trusted) {
@@ -575,13 +581,11 @@ void NetServer::handle_score(Connection& conn, const Frame& frame, bool decision
     if (decision_only) {
       VerdictResult result;
       result.outcome = outcome;
-      send_frame(conn, FrameType::kVerdictResult, frame.request_id,
-                 encode_verdict_result(result));
+      send_verdict(conn, frame.request_id, result);
     } else {
       ScoreResult result;
       result.outcome = outcome;
-      send_frame(conn, FrameType::kScoreResult, frame.request_id,
-                 encode_score_result(result));
+      send_result(conn, frame.request_id, result);
     }
     return;
   }
@@ -599,21 +603,26 @@ void NetServer::score_complete_hook(void* arg) noexcept {
   NetServer* server = pending->server;
   server->hooks_in_flight_.fetch_add(1, std::memory_order_acq_rel);
   const std::uint64_t key = pending->key;
+  bool was_empty = false;
   {
     const util::MutexLock lock(server->completed_mu_);
+    was_empty = server->completed_.empty();
     server->completed_.push_back(key);
   }
-  server->wake();
+  // Wake only on the empty -> non-empty transition. drain_completions
+  // swaps the mailbox out under the same lock, so a push that finds it
+  // non-empty lands in a batch whose first push already woke the reactor,
+  // and that batch is drained only after the wake byte is read.
+  if (was_empty) server->wake();
   server->hooks_in_flight_.fetch_sub(1, std::memory_order_release);
 }
 
 void NetServer::drain_completions() {
-  std::vector<std::uint64_t> keys;
   {
     const util::MutexLock lock(completed_mu_);
-    keys.swap(completed_);
+    drained_.swap(completed_);  // the two vectors trade capacity, never reallocate
   }
-  for (const std::uint64_t key : keys) {
+  for (const std::uint64_t key : drained_) {
     const auto it = pending_.find(key);
     if (it == pending_.end()) continue;  // stale: rejected submission, handled inline
     const std::unique_ptr<Pending> pending = std::move(it->second);
@@ -621,65 +630,91 @@ void NetServer::drain_completions() {
     if (pending->conn_id == 0) continue;  // client left before the verdict
     Connection* conn = find_conn(pending->conn_id);
     if (conn == nullptr) continue;
+    const serve::ScoreTicket& ticket = pending->ticket;
+    const auto outcome = static_cast<std::uint8_t>(ticket.outcome());
+    const auto latency_ns = static_cast<std::uint64_t>(ticket.latency().count());
+    const std::vector<double>& scores = ticket.scores();
     if (pending->decision_only) {
       // Decision-only reply: per-window decisions at the scoring epoch's
       // threshold (stamped into the ticket by the worker) — the raw
       // scores never reach the wire.
-      VerdictResult result;
-      result.outcome = static_cast<std::uint8_t>(pending->ticket.outcome());
-      result.verdict = pending->ticket.verdict();
-      result.epoch_id = pending->ticket.epoch_id();
-      result.latency_ns = static_cast<std::uint64_t>(pending->ticket.latency().count());
-      const std::vector<double>& scores = pending->ticket.scores();
+      VerdictResult& result = verdict_scratch_;
+      result.outcome = outcome;
+      result.verdict = ticket.verdict();
+      result.epoch_id = ticket.epoch_id();
+      result.latency_ns = latency_ns;
       result.decisions.resize(scores.size());
       for (std::size_t i = 0; i < scores.size(); ++i) {
-        result.decisions[i] = scores[i] >= pending->ticket.threshold();
+        result.decisions[i] = scores[i] >= ticket.threshold();
       }
-      send_frame(*conn, FrameType::kVerdictResult, pending->request_id,
-                 encode_verdict_result(result));
+      send_verdict(*conn, pending->request_id, result);
     } else {
-      ScoreResult result;
-      result.outcome = static_cast<std::uint8_t>(pending->ticket.outcome());
-      result.verdict = pending->ticket.verdict();
-      result.epoch_id = pending->ticket.epoch_id();
-      result.latency_ns = static_cast<std::uint64_t>(pending->ticket.latency().count());
-      result.scores = pending->ticket.scores();
-      send_frame(*conn, FrameType::kScoreResult, pending->request_id,
-                 encode_score_result(result));
+      ScoreResult& result = result_scratch_;
+      result.outcome = outcome;
+      result.verdict = ticket.verdict();
+      result.epoch_id = ticket.epoch_id();
+      result.latency_ns = latency_ns;
+      result.scores.assign(scores.begin(), scores.end());
+      send_result(*conn, pending->request_id, result);
     }
-    if (conn->dead) close_connection(conn->id);
+    if (!conn->flush_queued) {
+      conn->flush_queued = true;
+      to_flush_.push_back(conn->id);
+    }
   }
+  drained_.clear();
+  // One flush per connection for the whole drain.
+  for (const std::uint64_t conn_id : to_flush_) {
+    Connection* conn = find_conn(conn_id);
+    if (conn == nullptr) continue;
+    conn->flush_queued = false;
+    if (!flush(*conn)) close_connection(conn_id);
+  }
+  to_flush_.clear();
 }
 
 // -- write path -------------------------------------------------------------
 
 void NetServer::send_frame(Connection& conn, FrameType type, std::uint64_t request_id,
-                           std::vector<std::uint8_t> payload) {
+                           std::span<const std::uint8_t> payload) {
   if (conn.dead) return;
-  Frame frame;
-  frame.type = type;
-  frame.request_id = request_id;
-  frame.payload = std::move(payload);
-  encode_frame(frame, conn.out);
+  append_frame(type, request_id, payload, conn.out);
+  note_reply(conn);
+}
+
+void NetServer::send_result(Connection& conn, std::uint64_t request_id,
+                            const ScoreResult& result) {
+  if (conn.dead) return;
+  append_score_result(request_id, result, conn.out);
+  note_reply(conn);
+}
+
+void NetServer::send_verdict(Connection& conn, std::uint64_t request_id,
+                             const VerdictResult& result) {
+  if (conn.dead) return;
+  append_verdict_result(request_id, result, conn.out);
+  note_reply(conn);
+}
+
+void NetServer::send_error(Connection& conn, std::uint64_t request_id, ErrorCode code,
+                           std::string message) {
+  if (conn.dead) return;
+  append_error(request_id, ErrorBody{.code = code, .message = std::move(message)}, conn.out);
+  note_reply(conn);
+}
+
+void NetServer::note_reply(const Connection& conn) {
   stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t depth = conn.out.size() - conn.out_at;
   if (depth > stats_.out_buffer_peak.load(std::memory_order_relaxed)) {
     stats_.out_buffer_peak.store(depth, std::memory_order_relaxed);  // reactor-only writer
   }
-  (void)flush(conn);
-}
-
-void NetServer::send_error(Connection& conn, std::uint64_t request_id, ErrorCode code,
-                           std::string message) {
-  ErrorBody body;
-  body.code = code;
-  body.message = std::move(message);
-  send_frame(conn, FrameType::kError, request_id, encode_error(body));
 }
 
 bool NetServer::flush(Connection& conn) {
   if (conn.dead) return false;
   while (conn.out_at < conn.out.size()) {
+    stats_.write_calls.fetch_add(1, std::memory_order_relaxed);
     const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_at,
                              conn.out.size() - conn.out_at, MSG_NOSIGNAL);
     if (n > 0) {

@@ -8,6 +8,20 @@
 // hands the reactor a key over a self-wake pipe. Scoring threads never
 // touch a socket; the reactor never waits on a ticket.
 //
+// Syscalls are paid per batch, not per frame:
+//   * a completion hook writes the wake pipe only when its push turns the
+//     completion mailbox from empty to non-empty; the check runs under the
+//     mailbox lock the reactor drains under, so no wake-up is lost — and
+//     none may be: an idle reactor sleeps until an fd is ready, with no
+//     timeout to paper over a missed wake;
+//   * replies are encoded in place into the connection's write buffer and
+//     each touched connection is flushed once per batch — once per
+//     mailbox drain, and once per recv() for the inline replies that
+//     decoding a read produces;
+//   * backpressure (write-buffer limit, read pause) is re-evaluated after
+//     each batch flush, and the poller is only told about interest
+//     changes.
+//
 // Backpressure discipline (the whole point of fronting a *bounded* queue):
 //   * a full RequestQueue surfaces as an in-protocol kShed Error frame on
 //     the live connection — never a disconnect, never hidden buffering;
@@ -36,6 +50,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -91,6 +107,8 @@ struct NetServerStats {
   /// "the hottest client was turned away this many times" (fair-share
   /// evidence: a polite client's count stays near zero while this climbs).
   std::uint64_t throttled_conn_peak = 0;
+  std::uint64_t write_calls = 0;  ///< send() calls on client connections
+  std::uint64_t wakeups = 0;      ///< wake-pipe writes (completion hooks + stop())
 };
 
 class NetServer {
@@ -132,10 +150,16 @@ class NetServer {
   void handle_frame(Connection& conn, Frame frame);
   void handle_score(Connection& conn, const Frame& frame, bool decision_only);
   void drain_completions();
+  // Reply writers: encode in place into conn.out; nothing reaches the
+  // socket until the batch's flush().
   void send_frame(Connection& conn, FrameType type, std::uint64_t request_id,
-                  std::vector<std::uint8_t> payload);
+                  std::span<const std::uint8_t> payload);
+  void send_result(Connection& conn, std::uint64_t request_id, const ScoreResult& result);
+  void send_verdict(Connection& conn, std::uint64_t request_id, const VerdictResult& result);
   void send_error(Connection& conn, std::uint64_t request_id, ErrorCode code,
                   std::string message);
+  /// Bookkeeping after a reply was appended to conn.out.
+  void note_reply(const Connection& conn);
   /// Write as much of conn.out as the socket accepts; updates poller
   /// interest and read-pause state. Returns false if the connection died.
   bool flush(Connection& conn);
@@ -164,6 +188,13 @@ class NetServer {
   std::unordered_map<std::uint64_t, std::unique_ptr<Pending>> pending_;
   std::uint64_t next_conn_id_ = 1;
   std::uint64_t next_pending_key_ = 1;
+  // Reactor scratch, reused so the reply path does not allocate in steady
+  // state: mailbox keys being handled, connections a drain wrote to, and
+  // reply staging.
+  std::vector<std::uint64_t> drained_;
+  std::vector<std::uint64_t> to_flush_;
+  ScoreResult result_scratch_;
+  VerdictResult verdict_scratch_;
 
   // Completion mailbox: scoring threads push keys, the reactor drains.
   util::Mutex completed_mu_;
@@ -196,6 +227,8 @@ class NetServer {
     std::atomic<std::uint64_t> throttled_responses{0};
     std::atomic<std::uint64_t> rejected_responses{0};
     std::atomic<std::uint64_t> throttled_conn_peak{0};
+    std::atomic<std::uint64_t> write_calls{0};
+    std::atomic<std::uint64_t> wakeups{0};
   };
   mutable AtomicStats stats_;
 };

@@ -403,6 +403,74 @@ TEST(NetE2E, BackpressurePausesReadsAndStaysBounded) {
   EXPECT_EQ(served.enqueued, served.scored) << "accounting drift through the transport";
 }
 
+// ---------------------------------------------------------- syscall batching
+
+TEST(NetE2E, PipelinedRunCoalescesWritesAndWakeups) {
+  // 64 requests in flight on one connection: completions reach the
+  // reactor in bursts, so a drain answers several requests with one
+  // send() and a burst of completions costs one wake-pipe write. Every
+  // request id must still be answered exactly once.
+  constexpr std::size_t kRequests = 10000;
+  constexpr std::size_t kWindow = 64;
+  const Workload w = make_workload(64, /*n_windows=*/1);
+  serve::ScoringService service(test_epoch(0.05), serve::ServeConfig{.num_workers = 2});
+  NetServer server(service);
+  const util::Endpoint ep = server.add_listener(util::parse_endpoint("127.0.0.1:0"));
+  server.start();
+  NetClient client;
+  client.connect(ep);
+  client.set_recv_deadline(10s);
+
+  std::vector<std::uint8_t> answered(kRequests + 1, 0);  // ids are 1..kRequests
+  std::size_t sent = 0;
+  const auto send_one = [&] { (void)client.send_score(w.requests[sent++ % w.requests.size()]); };
+  while (sent < kWindow) send_one();
+  for (std::size_t got = 0; got < kRequests; ++got) {
+    const Reply reply = client.recv_reply();
+    ASSERT_EQ(reply.type, FrameType::kScoreResult);
+    ASSERT_TRUE(reply.result.has_value());
+    ASSERT_EQ(reply.result->outcome, static_cast<std::uint8_t>(serve::RequestOutcome::kScored));
+    ASSERT_GE(reply.request_id, 1u);
+    ASSERT_LE(reply.request_id, kRequests);
+    ASSERT_EQ(answered[reply.request_id]++, 0) << "answered twice: " << reply.request_id;
+    if (sent < kRequests) send_one();
+  }
+  const NetServerStats stats = server.stats();
+  server.stop();
+  EXPECT_EQ(stats.scores_submitted, kRequests);
+  EXPECT_EQ(stats.frames_out, kRequests);
+  EXPECT_LT(stats.write_calls, stats.frames_out) << "replies must share send() calls";
+  EXPECT_LT(stats.wakeups, stats.scores_submitted) << "completions must share wake-ups";
+  EXPECT_EQ(service.stats().scored, kRequests);
+}
+
+TEST(NetE2E, ClosedLoopNeverLosesAWakeup) {
+  // One request at a time, so every completion finds the mailbox empty
+  // and must wake the reactor itself. The idle reactor has no timeout, so
+  // a lost wake-up would park it for good; the receive deadline turns
+  // that into a failure instead of a hang.
+  constexpr std::size_t kIterations = 10000;
+  const Workload w = make_workload(16, /*n_windows=*/1);
+  serve::ScoringService service(test_epoch(0.05), serve::ServeConfig{.num_workers = 2});
+  NetServer server(service);
+  const util::Endpoint ep = server.add_listener(util::parse_endpoint("127.0.0.1:0"));
+  server.start();
+  NetClient client;
+  client.connect(ep);
+  client.set_recv_deadline(10s);
+  for (std::size_t i = 0; i < kIterations; ++i) {
+    Reply reply;
+    try {
+      reply = client.score(w.requests[i % w.requests.size()]);
+    } catch (const RecvDeadlineExpired&) {
+      FAIL() << "no reply to request " << i << ": completion wake-up lost";
+    }
+    ASSERT_EQ(reply.type, FrameType::kScoreResult);
+  }
+  server.stop();
+  EXPECT_EQ(service.stats().scored, kIterations);
+}
+
 // ----------------------------------------------------------- protocol abuse
 
 /// Minimal raw TCP client for sending deliberately malformed bytes.

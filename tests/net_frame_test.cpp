@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/frame.hpp"
@@ -130,6 +131,79 @@ TEST(NetFrame, ErrorBodyRoundTrips) {
   const std::optional<ErrorBody> empty = decode_error(encode_error(ErrorBody{}));
   ASSERT_TRUE(empty.has_value());
   EXPECT_TRUE(empty->message.empty());
+}
+
+TEST(NetFrame, ScoreRequestPayloadSizeIsExactAndItsFrameRoundTrips) {
+  // 20 fixed bytes (view, reserved u8 + u16, period, deadline, window
+  // count, width) plus 8 per double — and the frame writer produces the
+  // same payload behind a valid header, bit for bit.
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {1, 1}, {1, 16}, {3, 8}, {16, 16}, {200, 5}};
+  for (const auto& [n_windows, width] : shapes) {
+    const ScoreRequest req = make_request(n_windows * 31 + width, n_windows, width);
+    const std::vector<std::uint8_t> payload = encode_score_request(req);
+    EXPECT_EQ(payload.size(), kScoreRequestFixedSize + 8 * n_windows * width);
+
+    std::vector<std::uint8_t> wire;
+    append_score_request(FrameType::kVerdict, 77, req, wire);
+    ASSERT_EQ(wire.size(), kHeaderSize + payload.size());
+    FrameDecoder decoder;
+    decoder.feed(wire);
+    const std::optional<Frame> frame = decoder.next();
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->type, FrameType::kVerdict);
+    EXPECT_EQ(frame->request_id, 77u);
+    EXPECT_EQ(frame->payload, payload);
+    const std::optional<ScoreRequest> back = decode_score_request(frame->payload);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(*back, req);
+  }
+}
+
+TEST(NetFrame, InPlaceWritersCoalesceIntoOneBufferAndMatchPayloadEncoders) {
+  // Several writers appending to one buffer (how the server batches a
+  // connection's replies) must yield back-to-back frames whose payloads
+  // are exactly the payload-only encodings.
+  ScoreResult result;
+  result.outcome = 1;
+  result.verdict = true;
+  result.epoch_id = 9;
+  result.latency_ns = 4242;
+  result.scores = {0.25, -0.0, 1e-300};
+  VerdictResult verdict;
+  verdict.outcome = 1;
+  verdict.epoch_id = 3;
+  verdict.decisions = {true, false, true, true, false, false, false, true, true};
+  const ErrorBody error{ErrorCode::kShed, "request queue full; retry later"};
+  const std::vector<std::uint8_t> ping = {0x5A, 0xA5};
+
+  std::vector<std::uint8_t> wire = {0xEE};
+  append_score_result(1, result, wire);
+  append_verdict_result(2, verdict, wire);
+  append_error(3, error, wire);
+  append_frame(FrameType::kPong, 4, ping, wire);
+  append_frame(FrameType::kStats, 5, {}, wire);
+  EXPECT_EQ(wire[0], 0xEE);
+
+  const std::vector<Frame> want = {
+      {FrameType::kScoreResult, 1, encode_score_result(result)},
+      {FrameType::kVerdictResult, 2, encode_verdict_result(verdict)},
+      {FrameType::kError, 3, encode_error(error)},
+      {FrameType::kPong, 4, ping},
+      {FrameType::kStats, 5, {}},
+  };
+  FrameDecoder decoder;
+  decoder.feed(std::span<const std::uint8_t>(wire.data() + 1, wire.size() - 1));
+  for (const Frame& frame : want) {
+    const std::optional<Frame> got = decoder.next();
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, frame);
+  }
+  EXPECT_FALSE(decoder.next().has_value());
+  EXPECT_EQ(decoder.buffered(), 0u);
+  EXPECT_EQ(decode_score_result(want[0].payload), result);
+  EXPECT_EQ(decode_verdict_result(want[1].payload), verdict);
+  EXPECT_EQ(decode_error(want[2].payload), error);
 }
 
 TEST(NetFrame, DecodersRejectTruncationAndTrailingGarbage) {
