@@ -2,9 +2,12 @@
 // whole parameter ranges, not just hand-picked points.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <type_traits>
 
 #include "faultsim/fault_injector.hpp"
 #include "faultsim/fixed_point.hpp"
@@ -112,15 +115,23 @@ INSTANTIATE_TEST_SUITE_P(Devices, DeviceProperty,
 
 // ------------------------------------------------ feature-extraction bounds
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// spells out what would otherwise be padding: uninitialised padding bytes
+// change the test names from one process to the next.
 struct FeatureCase {
+  FeatureCase(trace::Family f, std::size_t p) : family(f), period(p) {}
   trace::Family family;
+  std::array<std::uint8_t, alignof(std::size_t) - sizeof(trace::Family)> reserved{};
   std::size_t period;
 };
+static_assert(std::has_unique_object_representations_v<FeatureCase>,
+              "FeatureCase must have no padding bytes");
 
 class FeatureProperty : public ::testing::TestWithParam<FeatureCase> {};
 
 TEST_P(FeatureProperty, AllViewsBoundedAndNormalized) {
-  const auto [family, period] = GetParam();
+  const trace::Family family = GetParam().family;
+  const std::size_t period = GetParam().period;
   const trace::Program program(0, family, 0xFEA7ULL + static_cast<std::uint64_t>(period));
   const auto trace_data = program.generate(4 * period);
   for (std::size_t v = 0; v < trace::kNumViews; ++v) {
