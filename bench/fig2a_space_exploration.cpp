@@ -5,8 +5,8 @@
 //
 // The er x repeats x folds sweep runs through the batch inference runtime:
 // each rotation's testing fold is scored as one batch across --workers
-// threads, with per-worker jump()-derived fault streams keeping the sweep
-// reproducible for a fixed (seed, workers) pair.
+// threads. Every program draws its fault noise from (seed, request index),
+// so the printed sweep is the same for any --workers.
 #include <cstdio>
 #include <memory>
 #include <vector>

@@ -5,8 +5,8 @@
 //
 // Both victims are queried through explicit attack::QueryOracles — the
 // deterministic baseline behind a DetectorOracle, the stochastic victim
-// behind the request-anchored InProcessOracle (the exact replica of the
-// scoring service's per-request noise streams). That is the same code
+// behind the InProcessOracle (which scores each query through the same
+// per-request primitive as the scoring service). That is the same code
 // path redteam::NetOracle drives over a socket, so this figure and an
 // over-the-wire campaign against shmd-served measure the same attacker.
 #include <cstdio>

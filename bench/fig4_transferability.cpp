@@ -57,7 +57,7 @@ int run(const bench::BenchConfig& cfg, double er) {
 
     // Context line for the attack numbers below: the stochastic victim's
     // live accuracy on the testing fold, scored as one batch across the
-    // runtime's workers (per-worker jump()-derived fault streams).
+    // runtime's workers (per-request fault streams: any worker count).
     {
       runtime::RuntimeConfig rt;
       rt.num_workers = cfg.workers;

@@ -20,7 +20,7 @@
 //
 // Determinism: none of this perturbs scores. Each request's fault stream
 // is anchored to the admission sequence number stamped under the queue
-// lock at push time (rng::stream_seed(base, seq)), so a request scores
+// lock at push time (hmd::request_stream(seed, seq)), so a request scores
 // bit-identically whether it was popped first or last, batched or alone.
 // Policies change WHICH requests get scored (membership), never what
 // score a surviving request receives — the fixed-seed score-hash CI

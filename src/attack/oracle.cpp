@@ -1,8 +1,5 @@
 #include "attack/oracle.hpp"
 
-#include "rng/splitmix64.hpp"
-#include "rng/xoshiro256ss.hpp"
-
 namespace shmd::attack {
 
 namespace {
@@ -11,6 +8,18 @@ namespace {
 /// for score hashes.
 constexpr std::uint64_t fnv1a(std::uint64_t hash, std::uint8_t byte) noexcept {
   return (hash ^ byte) * 0x100000001B3ULL;
+}
+
+/// Per-window decisions and the fraction-vote verdict over one query's
+/// live scores; the scores themselves ride along only when leaked.
+OracleReply decide(std::vector<double> scores, double threshold, double vote_fraction,
+                   bool leak_scores) {
+  OracleReply reply;
+  reply.decisions.resize(scores.size());
+  for (std::size_t w = 0; w < scores.size(); ++w) reply.decisions[w] = scores[w] >= threshold;
+  reply.verdict = hmd::fraction_vote(scores, threshold, vote_fraction);
+  if (leak_scores) reply.scores = std::move(scores);
+  return reply;
 }
 
 }  // namespace
@@ -52,61 +61,26 @@ void QueryOracle::observe(const OracleReply& reply) noexcept {
 }
 
 OracleReply DetectorOracle::do_query(const trace::FeatureSet& features) {
-  OracleReply reply;
-  std::vector<double> scores = victim_->window_scores(features);
-  reply.decisions.resize(scores.size());
-  for (std::size_t w = 0; w < scores.size(); ++w) {
-    reply.decisions[w] = scores[w] >= threshold_;
-  }
-  reply.verdict = hmd::fraction_vote(scores, threshold_, vote_fraction_);
-  if (leak_scores_) reply.scores = std::move(scores);
-  return reply;
+  return decide(victim_->window_scores(features), threshold_, vote_fraction_, leak_scores_);
 }
 
 InProcessOracle::InProcessOracle(const hmd::StochasticHmd& victim,
                                  std::uint64_t service_seed, double threshold,
                                  double vote_fraction)
-    : net_(victim.network()), config_(victim.feature_config()),
-      injector_(victim.error_rate(), victim.fault_distribution(), service_seed),
-      threshold_(threshold), vote_fraction_(vote_fraction), seed_(service_seed) {}
+    : victim_(victim.network(), victim.feature_config(), victim.error_rate(),
+              victim.fault_distribution(), service_seed),
+      threshold_(threshold), vote_fraction_(vote_fraction) {}
 
 std::uint64_t InProcessOracle::install_error_rate(double error_rate) {
-  injector_.set_error_rate(error_rate);
+  victim_.set_error_rate(error_rate);
   return ++epoch_id_;
 }
 
 OracleReply InProcessOracle::do_query(const trace::FeatureSet& features) {
-  // Mirror of the ScoringService worker's scoring path, batch of one:
-  // flatten the program's windows into a windows-major tile, re-anchor
-  // the private fault stream at the admission sequence number, forward
-  // the whole tile, vote. Any divergence here breaks the in-process vs
-  // over-the-wire parity guarantee — change both or neither.
-  const std::vector<std::vector<double>>& windows = features.windows(config_);
-  const std::size_t in_dim = net_.input_dim();
-  const std::size_t out_dim = net_.output_dim();
-  tile_.clear();
-  for (const std::vector<double>& window : windows) {
-    if (window.size() != in_dim) {
-      throw std::invalid_argument("InProcessOracle: window width != network input width");
-    }
-    tile_.insert(tile_.end(), window.begin(), window.end());
-  }
-  injector_.generator() = rng::Xoshiro256ss(rng::stream_seed(seed_, next_seq_++));
-  injector_.reset_stats();
-  nn::FaultyContext ctx(injector_);
-  const std::span<const double> out =
-      net_.forward_batch(tile_, windows.size(), ctx, scratch_);
-
-  OracleReply reply;
-  reply.epoch_id = epoch_id_;
-  std::vector<double> scores(windows.size());
-  reply.decisions.resize(windows.size());
-  for (std::size_t r = 0; r < windows.size(); ++r) {
-    scores[r] = out[r * out_dim];
-    reply.decisions[r] = scores[r] >= threshold_;
-  }
-  reply.verdict = hmd::fraction_vote(scores, threshold_, vote_fraction_);
   // Decision-only: the deployed channel never leaks scores.
+  OracleReply reply = decide(victim_.window_scores(features), threshold_, vote_fraction_,
+                             /*leak_scores=*/false);
+  reply.epoch_id = epoch_id_;
   return reply;
 }
 

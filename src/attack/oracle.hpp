@@ -5,8 +5,8 @@
 // operating point. Everything in src/attack used to shortcut that by
 // calling hmd::Detector directly; this interface makes the query channel
 // explicit so the same RE/evasion pipeline runs unchanged against an
-// in-process detector, a request-anchored replica of the scoring
-// service, or (via redteam::NetOracle, one layer up) a live daemon over
+// in-process detector, an in-process twin of the scoring service,
+// or (via redteam::NetOracle, one layer up) a live daemon over
 // src/net — and so query budgets are enforced where queries happen.
 //
 // Replies are decision-only by default: OracleReply::scores stays empty
@@ -23,11 +23,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "faultsim/fault_injector.hpp"
 #include "hmd/detector.hpp"
 #include "hmd/stochastic_hmd.hpp"
-#include "nn/arithmetic.hpp"
-#include "nn/network.hpp"
 #include "trace/dataset.hpp"
 
 namespace shmd::attack {
@@ -130,16 +127,18 @@ class DetectorOracle final : public QueryOracle {
   bool leak_scores_;
 };
 
-/// Request-anchored replica of the scoring service, decision-only.
+/// In-process twin of the scoring service, decision-only.
 ///
-/// Scores the k-th query exactly as serve::ScoringService scores the
-/// k-th accepted request for the same base seed: private FaultInjector
-/// re-seeded from rng::stream_seed(seed, k) before each forward pass,
-/// batch-of-one tile through Network::forward_batch, fraction-vote
-/// verdict at the epoch threshold. A campaign against this oracle is
-/// therefore bit-identical to the same campaign against a freshly
-/// started daemon over the wire — the property tests/redteam_test.cpp
-/// and the CI attack-smoke job pin down.
+/// The oracle queries a private copy of the victim whose noise seed is
+/// `service_seed`. Its k-th query is therefore request k of the shared
+/// hmd::RequestScorer primitive under that seed — what a
+/// serve::ScoringService worker runs for its k-th accepted request — voted
+/// at the epoch threshold. A query that fails (a window of the wrong
+/// width, a missing feature view) still spends its seq, as a failed
+/// request does in the service. A campaign against this oracle is thus
+/// bit-identical to the same campaign against a freshly started daemon
+/// over the wire — the property tests/redteam_test.cpp and the CI
+/// attack-smoke job pin down.
 ///
 /// install_error_rate() is the in-process analogue of
 /// ScoringService::install_epoch: it moves the boundary and stamps the
@@ -155,21 +154,15 @@ class InProcessOracle final : public QueryOracle {
   /// (initial point is epoch 1, mirroring install_epoch).
   std::uint64_t install_error_rate(double error_rate);
   [[nodiscard]] std::uint64_t epoch_id() const noexcept { return epoch_id_; }
-  [[nodiscard]] double error_rate() const noexcept { return injector_.error_rate(); }
+  [[nodiscard]] double error_rate() const noexcept { return victim_.error_rate(); }
 
  protected:
   [[nodiscard]] OracleReply do_query(const trace::FeatureSet& features) override;
 
  private:
-  nn::Network net_;
-  trace::FeatureConfig config_;
-  faultsim::FaultInjector injector_;
-  nn::ForwardScratch scratch_;
-  std::vector<double> tile_;  ///< reused windows-major flatten buffer
+  hmd::StochasticHmd victim_;
   double threshold_;
   double vote_fraction_;
-  std::uint64_t seed_;
-  std::uint64_t next_seq_ = 0;  ///< admission counter (queue stamps from 0)
   std::uint64_t epoch_id_ = 1;
 };
 

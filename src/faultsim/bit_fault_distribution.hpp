@@ -60,6 +60,8 @@ class BitFaultDistribution {
     return bit >= kProtectedLsbs && bit < kSignBit;
   }
 
+  friend bool operator==(const BitFaultDistribution&, const BitFaultDistribution&) = default;
+
  private:
   BitFaultDistribution() = default;
 

@@ -20,12 +20,16 @@ FaultInjector::FaultInjector(double error_rate, BitFaultDistribution distributio
   set_error_rate(error_rate);
 }
 
-void FaultInjector::set_error_rate(double er) {
+double checked_error_rate(double er) {
   // The negated-range spelling rejects NaN too: a NaN er would sail past
   // `er < 0 || er > 1` and silently break the skip-ahead geometric math
   // (log1p(-NaN) gaps) as well as every Bernoulli draw downstream.
   if (!(er >= 0.0 && er <= 1.0)) throw std::invalid_argument("error rate must be in [0, 1]");
-  error_rate_ = er;
+  return er;
+}
+
+void FaultInjector::set_error_rate(double er) {
+  error_rate_ = checked_error_rate(er);
   // Cached for next_fault_gap(): one log per geometric draw instead of two.
   inv_log1m_er_ = (er > 0.0 && er < 1.0) ? 1.0 / std::log1p(-er) : 0.0;
 }

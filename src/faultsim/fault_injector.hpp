@@ -48,6 +48,10 @@ struct FaultStats {
   friend bool operator==(const FaultStats&, const FaultStats&) = default;
 };
 
+/// `er` when it is a valid per-operation fault probability (in [0, 1]);
+/// throws std::invalid_argument otherwise (NaN included).
+[[nodiscard]] double checked_error_rate(double er);
+
 class FaultInjector {
  public:
   FaultInjector(double error_rate, BitFaultDistribution distribution,
@@ -154,8 +158,9 @@ class FaultInjector {
   [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_.reset(); }
 
-  /// Direct access to the injector's RNG stream (tests use this to verify
-  /// stream independence; nothing else should).
+  /// Direct access to the injector's RNG stream: hmd::RequestScorer
+  /// re-anchors it per request, and tests use it to verify stream
+  /// independence; nothing else should.
   [[nodiscard]] rng::Xoshiro256ss& generator() noexcept { return gen_; }
 
  private:

@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "hmd/request_scorer.hpp"
+
 namespace shmd::hmd {
 
 namespace {
@@ -43,7 +45,7 @@ RhmdConstruction rhmd_3f2p(std::size_t period_a, std::size_t period_b) {
 }
 
 Rhmd::Rhmd(std::string name, std::vector<Base> bases, std::uint64_t switch_seed)
-    : name_(std::move(name)), bases_(std::move(bases)), switch_gen_(switch_seed) {
+    : name_(std::move(name)), bases_(std::move(bases)), switch_seed_(switch_seed) {
   if (bases_.empty()) throw std::invalid_argument("Rhmd: need >= 1 base detector");
   for (const Base& b : bases_) epoch_period_ = std::max(epoch_period_, b.config.period);
   for (const Base& b : bases_) {
@@ -51,10 +53,6 @@ Rhmd::Rhmd(std::string name, std::vector<Base> bases, std::uint64_t switch_seed)
       throw std::invalid_argument("Rhmd: base periods must nest within the largest period");
     }
   }
-}
-
-void Rhmd::jump_switch_stream(std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) switch_gen_.jump();
 }
 
 double Rhmd::base_epoch_score(const Base& b, const trace::FeatureSet& features,
@@ -73,6 +71,12 @@ double Rhmd::base_epoch_score(const Base& b, const trace::FeatureSet& features,
 }
 
 std::vector<double> Rhmd::window_scores(const trace::FeatureSet& features) {
+  rng::Xoshiro256ss switch_gen = request_stream(switch_seed_, next_seq_++);
+  return window_scores(features, switch_gen);
+}
+
+std::vector<double> Rhmd::window_scores(const trace::FeatureSet& features,
+                                        rng::Xoshiro256ss& switch_gen) const {
   // Epoch count: limited by the base with the fewest nested windows.
   std::size_t epochs = std::numeric_limits<std::size_t>::max();
   for (const Base& b : bases_) {
@@ -82,7 +86,7 @@ std::vector<double> Rhmd::window_scores(const trace::FeatureSet& features) {
   std::vector<double> scores;
   scores.reserve(epochs);
   for (std::size_t e = 0; e < epochs; ++e) {
-    const std::size_t pick = switch_gen_.below(bases_.size());
+    const std::size_t pick = switch_gen.below(bases_.size());
     scores.push_back(base_epoch_score(bases_[pick], features, e));
   }
   return scores;

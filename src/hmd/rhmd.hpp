@@ -46,7 +46,13 @@ class Rhmd final : public Detector {
 
   Rhmd(std::string name, std::vector<Base> bases, std::uint64_t switch_seed = 0x124D5ULL);
 
+  /// Live scores; the k-th call (from 0) switches epochs on
+  /// request_stream(switch_seed, k).
   [[nodiscard]] std::vector<double> window_scores(const trace::FeatureSet& features) override;
+  /// Live scores with the epoch switches drawn from `switch_gen` — const,
+  /// so one detector can serve concurrent requests (RhmdBatchScorer).
+  [[nodiscard]] std::vector<double> window_scores(const trace::FeatureSet& features,
+                                                  rng::Xoshiro256ss& switch_gen) const;
   [[nodiscard]] std::vector<double> window_scores_nominal(
       const trace::FeatureSet& features) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return name_; }
@@ -54,12 +60,7 @@ class Rhmd final : public Detector {
   [[nodiscard]] std::size_t n_base_detectors() const noexcept { return bases_.size(); }
   [[nodiscard]] const Base& base(std::size_t i) const { return bases_.at(i); }
   [[nodiscard]] std::size_t epoch_period() const noexcept { return epoch_period_; }
-
-  /// Advance the epoch-switch RNG by `n` jump() steps (each skips 2^128
-  /// draws). The batch runtime copies this detector per worker and jumps
-  /// each replica a distinct number of times, giving the replicas
-  /// non-overlapping switching streams.
-  void jump_switch_stream(std::size_t n) noexcept;
+  [[nodiscard]] std::uint64_t switch_seed() const noexcept { return switch_seed_; }
 
  private:
   /// Score of base `b` over epoch `epoch` (averaging nested windows).
@@ -69,7 +70,8 @@ class Rhmd final : public Detector {
   std::string name_;
   std::vector<Base> bases_;
   std::size_t epoch_period_ = 0;
-  rng::Xoshiro256ss switch_gen_;
+  std::uint64_t switch_seed_;
+  std::uint64_t next_seq_ = 0;
 };
 
 }  // namespace shmd::hmd

@@ -2,35 +2,14 @@
 
 namespace shmd::hmd {
 
-namespace {
-
-/// Restores the injector's configured (direct-er) rate when a
-/// domain-driven detection burst ends. Without this, the last
-/// domain-derived rate silently survives detach_domain() and later
-/// direct-er scoring runs at the wrong physical operating point.
-/// Exception-safe by construction: the guard unwinds even when the rail
-/// rejects the offset mid-burst.
-class ErrorRateRestorer {
- public:
-  explicit ErrorRateRestorer(faultsim::FaultInjector& injector)
-      : injector_(injector), saved_(injector.error_rate()) {}
-  ~ErrorRateRestorer() { injector_.set_error_rate(saved_); }
-  ErrorRateRestorer(const ErrorRateRestorer&) = delete;
-  ErrorRateRestorer& operator=(const ErrorRateRestorer&) = delete;
-
- private:
-  faultsim::FaultInjector& injector_;
-  double saved_;
-};
-
-}  // namespace
-
 StochasticHmd::StochasticHmd(nn::Network net, trace::FeatureConfig config, double error_rate,
                              faultsim::BitFaultDistribution distribution,
                              std::uint64_t noise_seed)
     : net_(std::move(net)),
       config_(config),
-      injector_(error_rate, distribution, noise_seed) {}
+      error_rate_(faultsim::checked_error_rate(error_rate)),
+      distribution_(distribution),
+      noise_seed_(noise_seed) {}
 
 void StochasticHmd::attach_domain(volt::VoltageDomain& domain, double offset_mv,
                                   std::optional<std::uint64_t> token) {
@@ -45,43 +24,35 @@ void StochasticHmd::detach_domain() noexcept {
   token_.reset();
 }
 
-void StochasticHmd::set_error_rate(double er) { injector_.set_error_rate(er); }
+void StochasticHmd::set_error_rate(double er) { error_rate_ = faultsim::checked_error_rate(er); }
+
+void StochasticHmd::score(std::uint64_t seq, std::span<const std::vector<double>> windows,
+                          std::vector<double>& scores) {
+  double er = error_rate_;
+  // Deployment path: undervolt for exactly the duration of this detection
+  // burst (TEE enter/exit semantics), at the error rate the physical
+  // operating point yields; the guard restores nominal voltage on return.
+  std::optional<volt::UndervoltGuard> guard;
+  if (domain_ != nullptr) {
+    guard.emplace(*domain_, offset_mv_, token_);
+    er = domain_->error_rate();
+  }
+  stats_.merge(scorer_.score(net_, windows, er, distribution_, noise_seed_, seq, scores));
+}
 
 std::vector<double> StochasticHmd::window_scores(const trace::FeatureSet& features) {
+  // The seq is spent before anything can throw (a feature set without
+  // this detector's view), as a failed request's is in the service.
+  const std::uint64_t seq = next_seq_++;
   std::vector<double> scores;
-  nn::FaultyContext faulty(injector_);
-  if (domain_ != nullptr) {
-    // Deployment path: undervolt for exactly the duration of this
-    // detection burst (TEE enter/exit semantics), with the error rate
-    // derived from the physical operating point — and the configured
-    // direct-er rate restored when the burst ends.
-    const ErrorRateRestorer restore(injector_);
-    volt::UndervoltGuard guard(*domain_, offset_mv_, token_);
-    injector_.set_error_rate(domain_->error_rate());
-    const auto& windows = features.windows(config_);
-    scores.reserve(windows.size());
-    for (const std::vector<double>& window : windows) {
-      scores.push_back(net_.forward(window, faulty, scratch_)[0]);
-    }
-    return scores;  // guard restores nominal voltage here
-  }
-  const auto& windows = features.windows(config_);
-  scores.reserve(windows.size());
-  for (const std::vector<double>& window : windows) {
-    scores.push_back(net_.forward(window, faulty, scratch_)[0]);
-  }
+  score(seq, features.windows(config_), scores);
   return scores;
 }
 
 double StochasticHmd::score_window(std::span<const double> window) {
-  nn::FaultyContext faulty(injector_);
-  if (domain_ != nullptr) {
-    const ErrorRateRestorer restore(injector_);
-    volt::UndervoltGuard guard(*domain_, offset_mv_, token_);
-    injector_.set_error_rate(domain_->error_rate());
-    return net_.forward(window, faulty, scratch_)[0];
-  }
-  return net_.forward(window, faulty, scratch_)[0];
+  window_.front().assign(window.begin(), window.end());
+  score(next_seq_++, window_, window_score_);
+  return window_score_.front();
 }
 
 std::vector<double> StochasticHmd::window_scores_nominal(

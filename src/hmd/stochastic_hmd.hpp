@@ -15,13 +15,18 @@
 //     offset, derives er from the domain's fault model at the current
 //     temperature, and restores nominal voltage afterwards (the TEE
 //     enter/exit pattern of §IX).
+//
+// Every live score goes through the shared RequestScorer primitive: the
+// k-th scoring call (window_scores or score_window, counted together from
+// 0) is request k under `noise_seed`, so it draws exactly the noise a
+// BatchScorer or ScoringService seeded the same way gives its k-th request.
 #pragma once
 
 #include <optional>
 
 #include "faultsim/fault_injector.hpp"
 #include "hmd/detector.hpp"
-#include "nn/arithmetic.hpp"
+#include "hmd/request_scorer.hpp"
 #include "nn/network.hpp"
 #include "volt/voltage_domain.hpp"
 
@@ -46,7 +51,7 @@ class StochasticHmd final : public Detector {
 
   /// Space-exploration knob (only meaningful in direct-er mode).
   void set_error_rate(double er);
-  [[nodiscard]] double error_rate() const noexcept { return injector_.error_rate(); }
+  [[nodiscard]] double error_rate() const noexcept { return error_rate_; }
 
   [[nodiscard]] std::vector<double> window_scores(const trace::FeatureSet& features) override;
 
@@ -60,20 +65,29 @@ class StochasticHmd final : public Detector {
 
   [[nodiscard]] const nn::Network& network() const noexcept { return net_; }
   [[nodiscard]] trace::FeatureConfig feature_config() const noexcept { return config_; }
-  [[nodiscard]] const faultsim::FaultStats& fault_stats() const noexcept {
-    return injector_.stats();
-  }
-  /// Bit-location distribution of the injected faults (the batch runtime
-  /// replicates it into its per-worker injectors).
+  /// Fault statistics accumulated over every live score so far.
+  [[nodiscard]] const faultsim::FaultStats& fault_stats() const noexcept { return stats_; }
+  /// Bit-location distribution of the injected faults.
   [[nodiscard]] const faultsim::BitFaultDistribution& fault_distribution() const noexcept {
-    return injector_.distribution();
+    return distribution_;
   }
 
  private:
+  /// Score `windows` as request `seq`: at the configured error rate, or
+  /// inside an undervolt window at the domain-derived one.
+  void score(std::uint64_t seq, std::span<const std::vector<double>> windows,
+             std::vector<double>& scores);
+
   nn::Network net_;
   trace::FeatureConfig config_;
-  faultsim::FaultInjector injector_;
-  nn::ForwardScratch scratch_;  ///< reused activations: zero-alloc hot loop
+  double error_rate_;
+  faultsim::BitFaultDistribution distribution_;
+  std::uint64_t noise_seed_;
+  std::uint64_t next_seq_ = 0;
+  RequestScorer scorer_;
+  faultsim::FaultStats stats_;
+  std::vector<std::vector<double>> window_{1};  ///< score_window's one-window request
+  std::vector<double> window_score_;
   volt::VoltageDomain* domain_ = nullptr;
   double offset_mv_ = 0.0;
   std::optional<std::uint64_t> token_;

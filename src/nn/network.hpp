@@ -103,7 +103,7 @@ class Network {
   /// (context state, tile), but a different interleaving than calling
   /// forward() row by row; callers needing per-item streams re-anchor the
   /// generator at item boundaries and batch per item (see
-  /// ScoringService::worker_loop). The returned span aliases `scratch`
+  /// hmd::RequestScorer). The returned span aliases `scratch`
   /// (grown to rows x widest-layer once, then reused) and is valid until
   /// its next use.
   [[nodiscard]] std::span<const double> forward_batch(std::span<const double> x, std::size_t rows,

@@ -27,11 +27,10 @@ class SplitMix64 {
 };
 
 /// Deterministic per-item stream seed: splitmix over a base seed and a
-/// golden-ratio-spread sequence number. This is THE request-anchoring
-/// formula of the serving determinism contract — the scoring service
-/// derives request k's fault stream from stream_seed(seed, k), and the
-/// in-process attack oracle replays the same formula so an in-process
-/// campaign is bit-identical to one run over the wire.
+/// golden-ratio-spread sequence number. This is the request-keying
+/// formula of the project's determinism contract: hmd::request_stream
+/// seeds request k's random stream from stream_seed(seed, k), and every
+/// stochastic scorer draws its noise from there.
 [[nodiscard]] constexpr std::uint64_t stream_seed(std::uint64_t base,
                                                   std::uint64_t seq) noexcept {
   SplitMix64 mix(base ^ ((seq + 1) * 0x9E3779B97F4A7C15ULL));

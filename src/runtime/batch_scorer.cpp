@@ -1,11 +1,5 @@
 #include "runtime/batch_scorer.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
-#include "nn/arithmetic.hpp"
-#include "rng/xoshiro256ss.hpp"
-
 namespace shmd::runtime {
 
 namespace {
@@ -20,20 +14,8 @@ std::vector<const trace::FeatureSet*> as_pointers(std::span<const trace::Feature
 }  // namespace
 
 BatchScorer::BatchScorer(const hmd::StochasticHmd& hmd, RuntimeConfig config)
-    : hmd_(&hmd), pool_(resolve_workers(config.num_workers)) {
-  // Worker w's fault stream: the base stream jumped w times. jump()
-  // advances by 2^128 draws, so the streams cannot overlap within any
-  // feasible run length.
-  rng::Xoshiro256ss stream(config.seed);
-  workers_.reserve(pool_.size());
-  for (std::size_t w = 0; w < pool_.size(); ++w) {
-    Worker worker{
-        faultsim::FaultInjector(hmd.error_rate(), hmd.fault_distribution(), config.seed),
-        nn::ForwardScratch{}};
-    worker.injector.generator() = stream;
-    stream.jump();
-    workers_.push_back(std::move(worker));
-  }
+    : hmd_(&hmd), seed_(config.seed), pool_(resolve_workers(config.num_workers)) {
+  workers_.resize(pool_.size());
 }
 
 std::vector<std::vector<double>> BatchScorer::score_batch(
@@ -47,24 +29,18 @@ std::vector<std::vector<double>> BatchScorer::score_batch(
   // Pick up the detector's current operating point (space-exploration
   // sweeps move it between batches).
   const double er = hmd_->error_rate();
-  for (Worker& worker : workers_) worker.injector.set_error_rate(er);
   const nn::Network& net = hmd_->network();
   const trace::FeatureConfig fc = hmd_->feature_config();
+  const std::uint64_t first_seq = next_seq_;
+  next_seq_ += batch.size();
   std::vector<std::vector<double>> scores(batch.size());
   pool_.run([&](std::size_t w) {
     Worker& worker = workers_[w];
-    nn::FaultyContext faulty(worker.injector);
     const Slice slice = worker_slice(batch.size(), w, workers_.size());
     for (std::size_t i = slice.begin; i < slice.end; ++i) {
-      const auto& windows = batch[i]->windows(fc);
-      std::vector<double>& out = scores[i];
-      out.reserve(windows.size());
-      for (const std::vector<double>& window : windows) {
-        // forward issues one FaultyContext::dot per output row: fault
-        // sites are geometric skip-ahead samples from this worker's
-        // private stream, fault-free spans run exact.
-        out.push_back(net.forward(window, faulty, worker.scratch)[0]);
-      }
+      worker.stats.merge(worker.scorer.score(net, batch[i]->windows(fc), er,
+                                             hmd_->fault_distribution(), seed_, first_seq + i,
+                                             scores[i]));
     }
   });
   return scores;
@@ -80,28 +56,14 @@ std::vector<bool> BatchScorer::detect_batch(std::span<const trace::FeatureSet* c
   return verdicts;
 }
 
-const faultsim::FaultStats& BatchScorer::worker_stats(std::size_t worker) const {
-  if (worker >= workers_.size()) throw std::out_of_range("BatchScorer: worker out of range");
-  return workers_[worker].injector.stats();
-}
-
 faultsim::FaultStats BatchScorer::merged_stats() const {
   faultsim::FaultStats total;
-  for (const Worker& worker : workers_) total.merge(worker.injector.stats());
+  for (const Worker& worker : workers_) total.merge(worker.stats);
   return total;
 }
 
 RhmdBatchScorer::RhmdBatchScorer(const hmd::Rhmd& rhmd, RuntimeConfig config)
-    : pool_(resolve_workers(config.num_workers)) {
-  replicas_.reserve(pool_.size());
-  for (std::size_t w = 0; w < pool_.size(); ++w) {
-    hmd::Rhmd replica = rhmd;
-    // w+1 jumps: replica 0 is already offset from the source detector, so
-    // serial and batched use of the same Rhmd stay uncorrelated.
-    replica.jump_switch_stream(w + 1);
-    replicas_.push_back(std::move(replica));
-  }
-}
+    : rhmd_(&rhmd), pool_(resolve_workers(config.num_workers)) {}
 
 std::vector<std::vector<double>> RhmdBatchScorer::score_batch(
     std::span<const trace::FeatureSet> batch) {
@@ -111,12 +73,14 @@ std::vector<std::vector<double>> RhmdBatchScorer::score_batch(
 
 std::vector<std::vector<double>> RhmdBatchScorer::score_batch(
     std::span<const trace::FeatureSet* const> batch) {
+  const std::uint64_t first_seq = next_seq_;
+  next_seq_ += batch.size();
   std::vector<std::vector<double>> scores(batch.size());
   pool_.run([&](std::size_t w) {
-    hmd::Rhmd& replica = replicas_[w];
-    const Slice slice = worker_slice(batch.size(), w, replicas_.size());
+    const Slice slice = worker_slice(batch.size(), w, pool_.size());
     for (std::size_t i = slice.begin; i < slice.end; ++i) {
-      scores[i] = replica.window_scores(*batch[i]);
+      rng::Xoshiro256ss switch_gen = hmd::request_stream(rhmd_->switch_seed(), first_seq + i);
+      scores[i] = rhmd_->window_scores(*batch[i], switch_gen);
     }
   });
   return scores;

@@ -2,29 +2,17 @@
 //
 // The figure benches sweep error_rate x repeats x folds over thousands of
 // programs, and the deployment story is a detection core serving many
-// monitored programs per round; both were serial with per-call heap
-// allocations. A batch scorer amortizes three things at once:
+// monitored programs per round. A batch scorer spreads one batch over a
+// persistent pool: the batch is statically sliced across the workers (see
+// thread_pool.hpp), and each worker scores its items through its own
+// hmd::RequestScorer, so the steady-state hot loop allocates nothing.
 //
-//   threads — the batch is statically sliced across a persistent pool
-//             (see thread_pool.hpp for why static beats stealing here);
-//   RNG     — every worker owns a FaultInjector whose xoshiro256** stream
-//             is derived from one seed via jump() (streams 2^128 draws
-//             apart), so parallel fault statistics never share or overlap
-//             a generator;
-//   memory  — each worker scores through a reusable ForwardScratch, so
-//             the steady-state hot loop performs zero heap allocations
-//             (and caches the network's widest-layer width per worker);
-//   spans   — every forward routes one ArithmeticContext::dot call per
-//             output row, so undervolted workers pay the geometric
-//             skip-ahead kernel (one RNG draw per *fault*, not per MAC)
-//             and fault-free spans run as exact dot products.
-//
-// Determinism contract: worker w always scores the same slice of the
-// batch with the same private stream, so one (seed, worker count) pair
-// reproduces bit-identical scores run after run. Different worker counts
-// re-partition the batch and therefore draw different (equally valid)
-// fault noise — fix the worker count, not just the seed, to reproduce a
-// figure exactly.
+// Determinism contract: request i of a scorer's run — items are numbered
+// across batches from 0, in batch order — draws its fault noise from
+// hmd::request_stream(seed, i). Scores and merged fault statistics are
+// therefore a function of (seed, batch sequence) alone: any worker count
+// reproduces a figure bit-for-bit, and consecutive batches still draw
+// fresh noise.
 #pragma once
 
 #include <span>
@@ -32,9 +20,9 @@
 
 #include "faultsim/fault_injector.hpp"
 #include "hmd/detector.hpp"
+#include "hmd/request_scorer.hpp"
 #include "hmd/rhmd.hpp"
 #include "hmd/stochastic_hmd.hpp"
-#include "nn/network.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace shmd::runtime {
@@ -42,8 +30,8 @@ namespace shmd::runtime {
 struct RuntimeConfig {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   std::size_t num_workers = 0;
-  /// Base seed for the per-worker fault streams (worker w runs on the
-  /// stream jumped w times from this seed).
+  /// Base seed of the per-request fault streams (request i draws from
+  /// hmd::request_stream(seed, i)).
   std::uint64_t seed = 0xBA7C4ULL;
 };
 
@@ -72,27 +60,27 @@ class BatchScorer {
       double vote_fraction = hmd::Detector::kDefaultVoteFraction);
 
   [[nodiscard]] std::size_t num_workers() const noexcept { return workers_.size(); }
-  /// One worker's fault statistics (accumulated over all its batches).
-  [[nodiscard]] const faultsim::FaultStats& worker_stats(std::size_t worker) const;
-  /// All workers' statistics merged — the batch-run equivalent of
-  /// StochasticHmd::fault_stats().
+  /// Fault statistics of every request scored so far — the batch-run
+  /// equivalent of StochasticHmd::fault_stats().
   [[nodiscard]] faultsim::FaultStats merged_stats() const;
 
  private:
   struct Worker {
-    faultsim::FaultInjector injector;
-    nn::ForwardScratch scratch;
+    hmd::RequestScorer scorer;
+    faultsim::FaultStats stats;
   };
 
   const hmd::StochasticHmd* hmd_;
+  std::uint64_t seed_;
+  std::uint64_t next_seq_ = 0;  ///< request index of the next batch's first item
   std::vector<Worker> workers_;
   ThreadPool pool_;
 };
 
-/// Batch front-end for the RHMD baseline: every worker owns a replica of
-/// the ensemble whose epoch-switch stream is jump()-derived from the
-/// original, so parallel epoch switching stays reproducible under the same
-/// determinism contract as BatchScorer.
+/// Batch front-end for the RHMD baseline: request i of the run switches
+/// epochs on hmd::request_stream(rhmd.switch_seed(), i), under the same
+/// determinism contract as BatchScorer. The detector must outlive the
+/// scorer. RuntimeConfig::seed is unused: RHMD's only noise is switching.
 class RhmdBatchScorer {
  public:
   explicit RhmdBatchScorer(const hmd::Rhmd& rhmd, RuntimeConfig config = {});
@@ -102,10 +90,11 @@ class RhmdBatchScorer {
   [[nodiscard]] std::vector<std::vector<double>> score_batch(
       std::span<const trace::FeatureSet* const> batch);
 
-  [[nodiscard]] std::size_t num_workers() const noexcept { return replicas_.size(); }
+  [[nodiscard]] std::size_t num_workers() const noexcept { return pool_.size(); }
 
  private:
-  std::vector<hmd::Rhmd> replicas_;
+  const hmd::Rhmd* rhmd_;
+  std::uint64_t next_seq_ = 0;
   ThreadPool pool_;
 };
 

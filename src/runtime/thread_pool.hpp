@@ -3,11 +3,11 @@
 // Deliberately minimal: the runtime's unit of work is "worker w processes
 // its fixed slice of the batch", so the pool only needs one fork/join
 // primitive — run a callable on every worker and wait for all of them.
-// Static slicing (rather than a shared work queue) is what makes batch
-// scoring reproducible: each worker owns a deterministic set of items and
-// a private RNG stream, so the same seed and worker count always produce
-// bit-identical scores. Chunks are balanced to within one item, and the
-// detectors' per-item cost is near-uniform, so stealing would buy little.
+// Static slicing rather than a shared work queue: chunks are balanced to
+// within one item and the detectors' per-item cost is near-uniform, so
+// stealing would buy little. The slicing only spreads the work; scores do
+// not depend on it, because the scorers key their noise by item, never by
+// worker (see batch_scorer.hpp).
 #pragma once
 
 #include <cstddef>

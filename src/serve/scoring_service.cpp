@@ -4,24 +4,9 @@
 #include <utility>
 
 #include "hmd/detector.hpp"
-#include "nn/arithmetic.hpp"
-#include "rng/splitmix64.hpp"
-#include "rng/xoshiro256ss.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace shmd::serve {
-
-namespace {
-
-/// Deterministic per-request stream seed, so request k's fault stream is
-/// a function of (seed, k) alone — never of which worker scored it. The
-/// formula lives in rng::stream_seed because attack::InProcessOracle
-/// replays it to predict the service bit-for-bit.
-std::uint64_t request_seed(std::uint64_t base, std::uint64_t seq) noexcept {
-  return rng::stream_seed(base, seq);
-}
-
-}  // namespace
 
 ScoringService::ScoringService(DetectorEpoch initial_epoch, ServeConfig config)
     : config_(config),
@@ -31,15 +16,7 @@ ScoringService::ScoringService(DetectorEpoch initial_epoch, ServeConfig config)
     throw std::invalid_argument("ScoringService: max_batch must be >= 1");
   }
   const std::size_t n_workers = runtime::resolve_workers(config_.num_workers);
-  workers_.reserve(n_workers);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    // Per-worker injector: private stats and scratch; its generator is
-    // re-anchored per request, so the initial stream here never scores.
-    workers_.push_back(Worker{
-        faultsim::FaultInjector(initial_epoch.error_rate, initial_epoch.distribution,
-                                config_.seed),
-        nn::ForwardScratch{}});
-  }
+  workers_.resize(n_workers);
   (void)install_epoch(std::move(initial_epoch));
   threads_.reserve(n_workers);
   for (std::size_t w = 0; w < n_workers; ++w) {
@@ -185,101 +162,54 @@ void ScoringService::close() {
 }
 
 void ScoringService::worker_loop(std::size_t w) {
-  Worker& worker = workers_[w];
-  // Per-batch scratch, reused across batches: the drained requests, the
-  // windows-major tile their windows flatten into, and the per-request
-  // row ranges within that tile. All grow to steady-state size once.
-  std::vector<Request> batch;
+  hmd::RequestScorer& scorer = workers_[w];
+  std::vector<Request> batch;  // reused across batches: grows to max_batch once
   batch.reserve(config_.max_batch);
-  struct Pending {
-    const Request* request;    ///< element of `batch`
-    std::size_t row_begin;     ///< first tile row of this request's windows
-    std::size_t rows;          ///< number of windows
-  };
-  std::vector<Pending> pending;
-  pending.reserve(config_.max_batch);
-  std::vector<double> tile;
   while (queue_.pop_batch(batch, config_.max_batch) > 0) {
-    // One epoch load and (at most) one injector reconfiguration per
-    // tile: every request drained together scores under one coherent
-    // operating point — requests dequeued after a swap score under the
-    // new epoch, exactly as in the unbatched path.
+    // One epoch load per batch: every request drained together scores
+    // under one coherent operating point — requests dequeued after a swap
+    // score under the new epoch, exactly as in the unbatched path.
     const std::shared_ptr<const DetectorEpoch> epoch = slot_.current();
-    faultsim::FaultInjector& injector = worker.injector;
-    if (worker.configured_epoch != epoch->id) {
-      injector.set_error_rate(epoch->error_rate);
-      injector.set_distribution(epoch->distribution);
-      worker.configured_epoch = epoch->id;
-    }
-    const std::size_t in_dim = epoch->network.input_dim();
-    const std::size_t out_dim = epoch->network.output_dim();
-    // Phase 1 — admission triage and tile build: expire requests whose
-    // deadline passed in the queue, flatten survivors' windows into the
-    // tile, and fail (without killing the worker or the rest of the
-    // batch) any request whose feature set violates the epoch's contract.
-    pending.clear();
-    tile.clear();
+    // Triage: expire requests whose deadline passed in the queue and keep
+    // the survivors, in admission order, at the front of `batch`.
+    std::size_t live = 0;
     for (const Request& request : batch) {
       ScoreTicket& ticket = *request.ticket;
       ticket.epoch_id_ = epoch->id;
       ticket.threshold_ = epoch->threshold;
       const ServiceClock::time_point start = ServiceClock::now();
-      if (start >= request.deadline) {
-        const ServiceClock::duration wait = start - request.enqueue_time;
-        ticket.latency_ = wait;
-        stats_.on_deadline_missed(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(wait).count()));
-        ticket.complete(RequestOutcome::kDeadlineMissed);
+      if (start < request.deadline) {
+        batch[live++] = request;
         continue;
       }
-      const std::size_t row_begin = tile.size() / in_dim;
-      try {
-        const std::vector<std::vector<double>>& windows =
-            request.features->windows(epoch->features);
-        for (const std::vector<double>& window : windows) {
-          if (window.size() != in_dim) {
-            throw std::invalid_argument("window width != network input width");
-          }
-          tile.insert(tile.end(), window.begin(), window.end());
-        }
-        pending.push_back(Pending{&request, row_begin, windows.size()});
-      } catch (...) {
-        tile.resize(row_begin * in_dim);  // discard any partial flatten
-        ticket.scores_.clear();
-        ticket.latency_ = ServiceClock::now() - request.enqueue_time;
-        stats_.on_failed();
-        ticket.complete(RequestOutcome::kFailed);
-      }
+      const ServiceClock::duration wait = start - request.enqueue_time;
+      ticket.latency_ = wait;
+      stats_.on_deadline_missed(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(wait).count()));
+      ticket.complete(RequestOutcome::kDeadlineMissed);
     }
-    // Phase 2 — score each surviving request's sub-tile. Requests stay
-    // contiguous and are scored in admission order; the injector stream
-    // is re-anchored from (seed, seq) at each request boundary, so every
-    // request's fault stream — and therefore its scores — is bit-identical
-    // to the unbatched path regardless of which requests share its tile.
-    nn::FaultyContext ctx(injector);
+    // Score each survivor as request `seq` of the service's seed: its
+    // noise never depends on which worker or batch it landed in.
     // Service-time marker for the WaitPredictor: each request's share is
     // the gap between consecutive completion timestamps (the first gap
-    // also absorbs this batch's triage + reconfig cost — which is honest,
-    // since an arriving request waits behind that too). Reuses the `end`
-    // clock read each iteration already makes.
+    // also absorbs this batch's triage cost — which is honest, since an
+    // arriving request waits behind that too).
     ServiceClock::time_point service_mark = ServiceClock::now();
-    for (const Pending& p : pending) {
-      const Request& request = *p.request;
+    for (std::size_t i = 0; i < live; ++i) {
+      const Request& request = batch[i];
       ScoreTicket& ticket = *request.ticket;
-      injector.generator() = rng::Xoshiro256ss(request_seed(config_.seed, request.seq));
-      injector.reset_stats();  // per-request delta, attributed to this epoch below
+      faultsim::FaultStats faults;
       bool ok = true;
       try {
-        const std::span<const double> in(tile.data() + p.row_begin * in_dim, p.rows * in_dim);
-        const std::span<const double> out =
-            epoch->network.forward_batch(in, p.rows, ctx, worker.scratch);
-        ticket.scores_.resize(p.rows);
-        for (std::size_t r = 0; r < p.rows; ++r) ticket.scores_[r] = out[r * out_dim];
+        faults = scorer.score(epoch->network, request.features->windows(epoch->features),
+                              epoch->error_rate, epoch->distribution, config_.seed, request.seq,
+                              ticket.scores_);
         ticket.verdict_ =
             hmd::fraction_vote(ticket.scores_, epoch->threshold, epoch->vote_fraction);
       } catch (...) {
-        // A worker must outlive any single bad request. The ticket still
-        // completes — exactly once — with kFailed.
+        // A worker must outlive any single bad request (a feature set
+        // without the epoch's view, a window of the wrong width). The
+        // ticket still completes — exactly once — with kFailed.
         ticket.scores_.clear();
         ok = false;
       }
@@ -296,7 +226,7 @@ void ScoringService::worker_loop(std::size_t w) {
                              std::chrono::duration_cast<std::chrono::nanoseconds>(
                                  end - request.enqueue_time)
                                  .count()),
-                         epoch->id, injector.stats(), late);
+                         epoch->id, faults, late);
         // Decision-only traffic is the attack surface: count it against
         // the operating point that answered, so the defender can read
         // hostile query volume per epoch off the snapshot.

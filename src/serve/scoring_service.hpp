@@ -9,18 +9,14 @@
 // worker pool, while the stochastic boundary re-rolls underneath via
 // epoch swaps (epoch.hpp).
 //
-// Determinism contract — stronger than BatchScorer's. BatchScorer pins
-// worker w to a fixed slice and a jump()-derived stream, so (seed, worker
-// count) reproduces scores. Through an MPMC queue that scheme breaks:
-// which worker dequeues which request is a race, so any *worker*-anchored
-// stream makes scores depend on scheduling. The service therefore anchors
-// fault streams to the REQUEST: each accepted request gets a sequence
-// number, and the worker that scores it re-seeds its private injector
-// from splitmix(seed, seq) before the forward passes. Result: a fixed
-// seed reproduces bit-identical scores for the k-th accepted request
-// under ANY worker count and any scheduling — (seed, worker count)
-// reproducibility, as required, plus worker-count independence for free.
-// Workers still own a private FaultInjector and ForwardScratch each (no
+// Determinism contract: each accepted request gets a sequence number at
+// admission, and the worker that scores it goes through the shared
+// hmd::RequestScorer primitive at that seq — the same (seed, request
+// index) keying BatchScorer, StochasticHmd and the in-process attack
+// oracle use. Which worker dequeues which request is a race, but no
+// stream is tied to a worker, so a fixed seed reproduces bit-identical
+// scores for the k-th accepted request under ANY worker count, batch size
+// and scheduling. Workers still own a private RequestScorer each (no
 // sharing, no locks on the scoring path, zero steady-state allocation in
 // the forward pass).
 //
@@ -52,8 +48,7 @@
 
 #include "admit/policy.hpp"
 #include "admit/wait_predictor.hpp"
-#include "faultsim/fault_injector.hpp"
-#include "nn/network.hpp"
+#include "hmd/request_scorer.hpp"
 #include "serve/epoch.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/service_stats.hpp"
@@ -70,12 +65,11 @@ struct ServeConfig {
   /// Base seed for the per-request fault streams.
   std::uint64_t seed = 0x5E7F1CEULL;
   /// Upper bound on how many queued requests one worker drains and scores
-  /// per queue round-trip (cross-request batching: one lock acquisition,
-  /// one epoch load, one injector reconfiguration per tile). Batching
-  /// never delays a lone request — a batch pop returns with whatever is
-  /// queued — and never changes scores: per-request fault streams are
-  /// re-anchored at request boundaries within the tile, so results are
-  /// bit-identical for any max_batch. Must be >= 1.
+  /// per queue round-trip (cross-request batching: one lock acquisition
+  /// and one epoch load per batch). Batching never delays a lone request —
+  /// a batch pop returns with whatever is queued — and never changes
+  /// scores: each request draws from its own (seed, seq) stream, so
+  /// results are bit-identical for any max_batch. Must be >= 1.
   std::size_t max_batch = 16;
   /// Overload policy installed on the queue (see admit::AdmissionPolicy).
   /// Every policy preserves the determinism contract.
@@ -285,15 +279,6 @@ class ScoringService {
   void record_throttled() noexcept { stats_.on_throttled(); }
 
  private:
-  struct Worker {
-    faultsim::FaultInjector injector;
-    nn::ForwardScratch scratch;
-    /// Epoch id the injector was last configured for: reconfiguration
-    /// (error rate + alias-table copy) happens per epoch *change*, not
-    /// per request. 0 matches no epoch (install_epoch stamps from 1).
-    std::uint64_t configured_epoch = 0;
-  };
-
   SubmitStatus do_submit(const trace::FeatureSet& features, ScoreTicket& ticket,
                          std::optional<ServiceClock::time_point> deadline, bool blocking);
   void worker_loop(std::size_t w);
@@ -304,7 +289,7 @@ class ScoringService {
   ServiceStats stats_;
   admit::WaitPredictor predictor_;
   std::atomic<std::uint64_t> next_epoch_id_{0};
-  std::vector<Worker> workers_;      ///< sized once; never reallocated while serving
+  std::vector<hmd::RequestScorer> workers_;  ///< sized once; never reallocated while serving
   std::vector<std::thread> threads_;
 };
 

@@ -4,6 +4,7 @@
 
 #include "eval/metrics.hpp"
 #include "hmd/builders.hpp"
+#include "hmd/request_scorer.hpp"
 #include "support/test_corpus.hpp"
 #include "util/stats.hpp"
 
@@ -97,6 +98,28 @@ TEST(StochasticHmd, ZeroErrorRateEqualsBaseline) {
   const auto& features = fx.ds.samples()[fx.folds.testing[0]].features;
   BaselineHmd base = fx.baseline;
   EXPECT_EQ(det.window_scores(features), base.window_scores(features));
+}
+
+TEST(StochasticHmd, KthCallScoresAsRequestKOfThePrimitive) {
+  // The serial detector keys its noise exactly as every other scorer:
+  // its k-th live call (window_scores and score_window share the count)
+  // is request k of RequestScorer under the detector's noise seed.
+  const auto& fx = TrainedFixture::instance();
+  constexpr std::uint64_t kSeed = 0xABCDULL;
+  const faultsim::BitFaultDistribution dist = faultsim::BitFaultDistribution::measured();
+  const nn::Network& net = fx.baseline.network();
+  StochasticHmd det(net, fx.fc, 0.3, dist, kSeed);
+  RequestScorer reference;
+  std::vector<double> want;
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    const auto& features = fx.ds.samples()[fx.folds.testing[k]].features;
+    (void)reference.score(net, features.windows(fx.fc), 0.3, dist, kSeed, k, want);
+    EXPECT_EQ(det.window_scores(features), want) << k;
+  }
+  const std::vector<std::vector<double>> one = {
+      fx.ds.samples()[fx.folds.testing[0]].features.windows(fx.fc).front()};
+  (void)reference.score(net, one, 0.3, dist, kSeed, 4, want);
+  EXPECT_EQ(det.score_window(one.front()), want.front());
 }
 
 TEST(StochasticHmd, ScoresVaryAcrossRuns) {

@@ -197,6 +197,42 @@ TEST(RedTeam, CampaignBitIdenticalWhileEpochsRoll) {
   EXPECT_EQ(local.transfer.transferred, remote.transfer.transferred);
 }
 
+TEST(RedTeam, MalformedQuerySpendsItsSeqInProcessAsInTheService) {
+  // The service stamps a seq at admission and fails a malformed request
+  // without giving the seq back. The in-process oracle must spend it too,
+  // or every later reply is one stream behind the daemon. er = 0.5 makes
+  // the decisions noisy enough that an off-by-one stream shows.
+  const trace::Dataset& ds = tiny_dataset();
+  const trace::FoldSplit folds = ds.folds(0);
+  const hmd::StochasticHmd victim(served_reference_network(kServiceSeed), victim_fc(), 0.5);
+  trace::FeatureSet malformed;
+  malformed.put(victim_fc(), {{0.5, 0.5}});  // narrower than the network input
+
+  attack::InProcessOracle inproc(victim, kServiceSeed);
+  EXPECT_THROW((void)inproc.query(malformed), std::invalid_argument);
+
+  serve::ServeConfig config;
+  config.num_workers = 2;
+  config.seed = kServiceSeed;
+  serve::ScoringService service(serve::make_epoch(victim), config);
+  serve::ScoreTicket ticket;
+  ASSERT_EQ(service.submit(malformed, ticket), serve::SubmitStatus::kAccepted);
+  ticket.wait();
+  EXPECT_EQ(ticket.outcome(), serve::RequestOutcome::kFailed);
+
+  for (std::size_t k = 0; k < folds.testing.size(); ++k) {
+    const trace::FeatureSet& features = ds.samples()[folds.testing[k]].features;
+    const attack::OracleReply reply = inproc.query(features);
+    ASSERT_EQ(service.submit(features, ticket), serve::SubmitStatus::kAccepted);
+    ticket.wait();
+    ASSERT_EQ(ticket.outcome(), serve::RequestOutcome::kScored);
+    std::vector<bool> served;
+    for (const double score : ticket.scores()) served.push_back(score >= ticket.threshold());
+    EXPECT_EQ(reply.decisions, served) << "query " << k;
+    EXPECT_EQ(reply.verdict, ticket.verdict()) << "query " << k;
+  }
+}
+
 TEST(RedTeam, NetOracleRepliesIndependentOfPipelineDepth) {
   // Reply reordering: depth-8 pipelining races 2 workers, yet the replies
   // must come back keyed to their requests — the observed sequence equals

@@ -1,7 +1,7 @@
 // Tests for the batch inference runtime: the determinism contract (same
-// seed + same worker count => bit-identical scores), jump()-derived stream
-// independence, per-worker fault-statistics merging, and the
-// allocation-free steady state of the scratch forward path.
+// seed => bit-identical scores and fault statistics under any worker
+// count), the thread pool, and the allocation-free steady state of the
+// scratch forward path and of the shared RequestScorer primitive.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,10 +17,15 @@
 #include "support/test_corpus.hpp"
 
 // Allocation probe: global operator new replacement counting every heap
-// allocation in the process. The zero-allocation test snapshots the
-// counter around a steady-state forward loop.
+// allocation in the process. The zero-allocation tests snapshot the
+// counter around a steady-state loop.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+
+// Out of line, so GCC never sees free() inlined next to an operator new
+// call and warns about a new/free mismatch that the malloc-backed
+// replacement below does not have (-Wmismatched-new-delete).
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -29,10 +34,10 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
 
 namespace shmd::runtime {
 namespace {
@@ -148,9 +153,10 @@ TEST(ResolveWorkers, ZeroMeansAllCoresAndExplicitCountsPassThrough) {
 // -------------------------------------------------------- stream discipline
 
 TEST(WorkerStreams, JumpDerivedStreamsDoNotOverlap) {
-  // The runtime derives worker w's stream by jumping a base generator w
-  // times. Over 10^5 draws per stream, the outputs must be pairwise
-  // disjoint (jump() advances 2^128 steps, so any overlap is a bug).
+  // Streams derived by jumping a base generator w times (the way parallel
+  // experiment repeats split one seed). Over 10^5 draws per stream, the
+  // outputs must be pairwise disjoint (jump() advances 2^128 steps, so
+  // any overlap is a bug).
   constexpr std::size_t kDraws = 100000;
   rng::Xoshiro256ss base(0xBA7C4ULL);
   rng::Xoshiro256ss s0 = base;
@@ -228,31 +234,50 @@ TEST(BatchScorer, TracksDetectorErrorRateAcrossSweeps) {
   EXPECT_NEAR(stats.fault_rate(), 0.25, 0.05);
 }
 
-TEST(BatchScorer, MergedStatsEqualSumOfWorkerStats) {
+TEST(BatchScorer, ScoresAndStatsIndependentOfWorkerCount) {
+  // Request i of the run draws from (seed, i) whichever worker scores it,
+  // so 1, 2 and 4 workers give bit-identical scores and equal fault
+  // statistics — over consecutive batches too.
   const auto& fx = RuntimeFixture::instance();
   hmd::StochasticHmd det(fx.baseline.network(), fx.fc, 0.5);
-  RuntimeConfig rt;
-  rt.num_workers = 3;
-  BatchScorer scorer(det, rt);
-  (void)scorer.score_batch(fx.batch);
-
-  faultsim::FaultStats manual;
-  bool multiple_workers_ran = false;
-  for (std::size_t w = 0; w < scorer.num_workers(); ++w) {
-    manual.merge(scorer.worker_stats(w));
-    if (w > 0 && scorer.worker_stats(w).operations > 0) multiple_workers_ran = true;
+  std::vector<std::vector<std::vector<double>>> reference;
+  faultsim::FaultStats reference_stats;
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    BatchScorer scorer(det, RuntimeConfig{workers, 0x5EEDULL});
+    ASSERT_EQ(scorer.num_workers(), workers);
+    std::vector<std::vector<std::vector<double>>> scores;
+    for (int round = 0; round < 2; ++round) scores.push_back(scorer.score_batch(fx.batch));
+    const faultsim::FaultStats stats = scorer.merged_stats();
+    if (workers == 1) {
+      reference = scores;
+      reference_stats = stats;
+      continue;
+    }
+    EXPECT_EQ(scores, reference) << workers << " workers";
+    EXPECT_EQ(stats.operations, reference_stats.operations) << workers << " workers";
+    EXPECT_EQ(stats.faults, reference_stats.faults) << workers << " workers";
+    EXPECT_EQ(stats.bit_flips, reference_stats.bit_flips) << workers << " workers";
   }
-  const faultsim::FaultStats merged = scorer.merged_stats();
-  EXPECT_EQ(merged.operations, manual.operations);
-  EXPECT_EQ(merged.faults, manual.faults);
-  EXPECT_EQ(merged.bit_flips, manual.bit_flips);
-  EXPECT_TRUE(multiple_workers_ran);
-
-  // Every window of every batch item passed through exactly one worker:
-  // total operations = windows x MACs-per-inference.
+  // Every window of every item passed through exactly one worker, twice.
   std::size_t windows = 0;
   for (const trace::FeatureSet* fs : fx.batch) windows += fs->windows(fx.fc).size();
-  EXPECT_EQ(merged.operations, windows * det.network().mac_count());
+  EXPECT_EQ(reference_stats.operations, 2 * windows * det.network().mac_count());
+  EXPECT_GT(reference_stats.faults, 0u);
+}
+
+TEST(BatchScorer, ItemIScoresAsTheDetectorsIthCall) {
+  // One primitive, one keying: a BatchScorer seeded with the detector's
+  // noise seed reproduces the detector's own serial calls, item by item.
+  const auto& fx = RuntimeFixture::instance();
+  constexpr std::uint64_t kSeed = 0xC0FFEEULL;
+  hmd::StochasticHmd det(fx.baseline.network(), fx.fc, 0.2,
+                         faultsim::BitFaultDistribution::measured(), kSeed);
+  BatchScorer scorer(det, RuntimeConfig{3, kSeed});
+  const auto batched = scorer.score_batch(fx.batch);
+  for (std::size_t i = 0; i < fx.batch.size(); ++i) {
+    EXPECT_EQ(batched[i], det.window_scores(*fx.batch[i])) << i;
+  }
+  EXPECT_EQ(scorer.merged_stats(), det.fault_stats());
 }
 
 TEST(BatchScorer, DetectBatchMatchesFractionVoteOverScores) {
@@ -279,12 +304,15 @@ TEST(RhmdBatchScorer, ReproducibleAndPlausible) {
   opt.train.epochs = 40;
   const hmd::Rhmd rhmd = hmd::make_rhmd(fx.ds, fx.folds.victim_training,
                                         hmd::rhmd_2f(fx.ds.config().periods[0]), opt);
-  RuntimeConfig rt;
-  rt.num_workers = 3;
-  RhmdBatchScorer first(rhmd, rt);
-  RhmdBatchScorer second(rhmd, rt);
+  // Item i switches on (switch seed, i) whichever worker scores it, so
+  // 3 workers and 1 worker agree batch after batch.
+  RhmdBatchScorer first(rhmd, RuntimeConfig{3, 0});
+  RhmdBatchScorer second(rhmd, RuntimeConfig{1, 0});
   const auto scores_a = first.score_batch(fx.batch);
   EXPECT_EQ(scores_a, second.score_batch(fx.batch));
+  const auto scores_b = first.score_batch(fx.batch);
+  EXPECT_EQ(scores_b, second.score_batch(fx.batch));
+  EXPECT_NE(scores_a, scores_b) << "consecutive batches must switch epochs afresh";
   ASSERT_EQ(scores_a.size(), fx.batch.size());
   for (std::size_t i = 0; i < scores_a.size(); ++i) {
     EXPECT_EQ(scores_a[i].size(), fx.batch[i]->windows(fx.fc).size()) << i;
@@ -312,6 +340,38 @@ TEST(ForwardScratch, SteadyStateForwardIsAllocationFree) {
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "steady-state forward must not touch the heap (acc=" << acc
                            << ")";
+}
+
+TEST(RequestScorer, SteadyStateScoringIsAllocationFree) {
+  const auto& fx = RuntimeFixture::instance();
+  const nn::Network& net = fx.baseline.network();
+  const faultsim::BitFaultDistribution dist = faultsim::BitFaultDistribution::measured();
+  const auto& windows = fx.batch.front()->windows(fx.fc);
+  hmd::RequestScorer scorer;
+  std::vector<double> scores;
+  (void)scorer.score(net, windows, 0.1, dist, 1, 0, scores);  // warm-up: buffers grow here
+
+  std::uint64_t faults = 0;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::uint64_t seq = 1; seq <= 64; ++seq) {
+    faults += scorer.score(net, windows, 0.1, dist, 1, seq, scores).faults;
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before) << "steady-state scoring must not touch the heap";
+  EXPECT_GT(faults, 0u);
+  EXPECT_EQ(scores.size(), windows.size());
+}
+
+TEST(RequestScorer, RejectsAWrongWidthWindowBeforeScoring) {
+  const auto& fx = RuntimeFixture::instance();
+  const std::vector<std::vector<double>> windows = {
+      std::vector<double>(fx.baseline.network().input_dim(), 0.5), {0.5}};
+  hmd::RequestScorer scorer;
+  std::vector<double> scores{1.0};
+  EXPECT_THROW((void)scorer.score(fx.baseline.network(), windows, 0.1,
+                                  faultsim::BitFaultDistribution::measured(), 1, 0, scores),
+               std::invalid_argument);
+  EXPECT_EQ(scores, std::vector<double>{1.0}) << "a rejected request leaves the buffer alone";
 }
 
 }  // namespace

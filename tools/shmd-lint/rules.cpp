@@ -379,7 +379,7 @@ class RngDisciplineRule final : public Rule {
   [[nodiscard]] std::string_view suppression_tag() const noexcept override { return "rng-ok"; }
   [[nodiscard]] std::string_view rationale() const noexcept override {
     return "ad-hoc randomness (std::rand, std::random_device) breaks run-to-run determinism "
-           "and the per-worker jump()-derived streams; use the rng/ RandomSource hierarchy";
+           "and the per-request (seed, seq) streams; use the rng/ RandomSource hierarchy";
   }
 
   [[nodiscard]] bool applies(const SourceFile& f) const override {
@@ -1000,7 +1000,7 @@ class LayeringRule final : public ProjectRule {
       if (!f.in_dir("src/")) continue;
       const std::string_view path = f.path();
       const std::string_view from_mod = module_of(path.substr(4));
-      if (from_mod.empty()) continue;  // src/shmd.hpp: umbrella, unconstrained
+      if (from_mod.empty()) continue;  // directly under src/: in no module
       const int from_layer = layer_of(from_mod);
       for (const Token& tok : f.tokens()) {
         if (tok.kind != TokenKind::kDirective) continue;

@@ -13,7 +13,7 @@
 //        "span-kernel" tag for kernels the heuristic cannot see).
 //   R2 rng-discipline  — std::rand/srand/std::random_device only inside
 //        src/rng/entropy.*; everything else uses the project RandomSource
-//        hierarchy so the per-worker jump() streams stay deterministic.
+//        hierarchy so the per-request (seed, seq) streams stay deterministic.
 //   R3 stream-hygiene  — no std::cout/printf in src/ library code; the
 //        library computes, benches and examples narrate.
 //   R4 header-hygiene  — #pragma once first in every header, include
