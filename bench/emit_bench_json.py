@@ -95,7 +95,8 @@ def emit_serve(argv):
             "p50_us": p.get("p50_us"),
             "p99_us": p.get("p99_us"),
             "shed_fraction": (p.get("shed", 0) / submitted) if submitted else 0.0,
-            "rejected_fraction": (p.get("rejected", 0) / submitted) if submitted else 0.0,
+            "rejected_fraction": (p.get("rejected_on_admission", p.get("rejected", 0)) / submitted)
+            if submitted else 0.0,
             "evicted": p.get("evicted", 0),
             "scored_late": p.get("scored_late", 0),
             "deadline_missed": p.get("deadline_missed", 0),

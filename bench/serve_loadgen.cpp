@@ -75,17 +75,19 @@ serve::LatencyHistogram diff_hist(const serve::LatencyHistogram& after,
   return d;
 }
 
+/// One `"name": value,` JSON line per service counter.
+void print_counters(std::FILE* out, const serve::ServiceStatsSnapshot& snap) {
+  for (const auto& row : serve::kServiceCounters) {
+    std::fprintf(out, "    \"%.*s\": %llu,\n", static_cast<int>(row.name.size()),
+                 row.name.data(), static_cast<unsigned long long>(snap.*row.member));
+  }
+}
+
 struct PhaseReport {
   std::string mode;
   double duration_s = 0.0;
   std::uint64_t submitted = 0;
-  std::uint64_t scored = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t rejected = 0;        ///< admission-control rejections (at the door)
-  std::uint64_t evicted = 0;         ///< drop-oldest displacements
-  std::uint64_t scored_late = 0;     ///< scored past the deadline (excluded from goodput)
-  std::uint64_t deadline_missed = 0;
-  std::uint64_t epoch_swaps = 0;
+  serve::ServiceStatsSnapshot counts;  ///< kServiceCounters deltas over the phase
   double goodput_rps = 0.0;     ///< requests scored WITHIN deadline per second — the
                                 ///< headline metric; == throughput when no deadline
   double throughput_rps = 0.0;  ///< raw scored per second (work done, useful or not)
@@ -103,16 +105,11 @@ PhaseReport phase_report(std::string mode, double duration_s, std::uint64_t subm
   r.mode = std::move(mode);
   r.duration_s = duration_s;
   r.submitted = submitted;
-  r.scored = after.scored - before.scored;
-  r.shed = after.shed - before.shed;
-  r.rejected = after.rejected_on_admission - before.rejected_on_admission;
-  r.evicted = after.evicted - before.evicted;
-  r.scored_late = after.scored_late - before.scored_late;
-  r.deadline_missed = after.deadline_missed - before.deadline_missed;
-  r.epoch_swaps = after.epoch_swaps - before.epoch_swaps;
-  const std::uint64_t good = r.scored - r.scored_late;
-  r.goodput_rps = duration_s > 0.0 ? static_cast<double>(good) / duration_s : 0.0;
-  r.throughput_rps = duration_s > 0.0 ? static_cast<double>(r.scored) / duration_s : 0.0;
+  for (const auto& row : serve::kServiceCounters) {
+    r.counts.*row.member = after.*row.member - before.*row.member;
+  }
+  r.goodput_rps = duration_s > 0.0 ? static_cast<double>(r.counts.goodput()) / duration_s : 0.0;
+  r.throughput_rps = duration_s > 0.0 ? static_cast<double>(r.counts.scored) / duration_s : 0.0;
   r.achieved_rate_rps = duration_s > 0.0 ? static_cast<double>(submitted) / duration_s : 0.0;
   const serve::LatencyHistogram hist = diff_hist(after.latency, before.latency);
   r.p50_us = hist.p50_ns() / 1e3;
@@ -124,17 +121,10 @@ PhaseReport phase_report(std::string mode, double duration_s, std::uint64_t subm
 }
 
 void print_phase(std::FILE* out, const PhaseReport& r, bool last) {
+  std::fprintf(out, "  \"%s\": {\n    \"duration_s\": %.3f,\n    \"submitted\": %llu,\n",
+               r.mode.c_str(), r.duration_s, static_cast<unsigned long long>(r.submitted));
+  print_counters(out, r.counts);
   std::fprintf(out,
-               "  \"%s\": {\n"
-               "    \"duration_s\": %.3f,\n"
-               "    \"submitted\": %llu,\n"
-               "    \"scored\": %llu,\n"
-               "    \"shed\": %llu,\n"
-               "    \"rejected\": %llu,\n"
-               "    \"evicted\": %llu,\n"
-               "    \"scored_late\": %llu,\n"
-               "    \"deadline_missed\": %llu,\n"
-               "    \"epoch_swaps\": %llu,\n"
                "    \"goodput_rps\": %.1f,\n"
                "    \"throughput_rps\": %.1f,\n"
                "    \"achieved_rate_rps\": %.1f,\n"
@@ -143,15 +133,7 @@ void print_phase(std::FILE* out, const PhaseReport& r, bool last) {
                "    \"missed_wait_p50_us\": %.1f,\n"
                "    \"missed_wait_p99_us\": %.1f\n"
                "  }%s\n",
-               r.mode.c_str(), r.duration_s, static_cast<unsigned long long>(r.submitted),
-               static_cast<unsigned long long>(r.scored),
-               static_cast<unsigned long long>(r.shed),
-               static_cast<unsigned long long>(r.rejected),
-               static_cast<unsigned long long>(r.evicted),
-               static_cast<unsigned long long>(r.scored_late),
-               static_cast<unsigned long long>(r.deadline_missed),
-               static_cast<unsigned long long>(r.epoch_swaps), r.goodput_rps,
-               r.throughput_rps, r.achieved_rate_rps, r.p50_us, r.p99_us,
+               r.goodput_rps, r.throughput_rps, r.achieved_rate_rps, r.p50_us, r.p99_us,
                r.missed_wait_p50_us, r.missed_wait_p99_us, last ? "" : ",");
 }
 
@@ -358,7 +340,7 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(Clock::now() - open_start).count();
   PhaseReport open = phase_report("open_loop", open_elapsed, open_submitted, open_before,
                                   service.stats());
-  open.shed += open_shed_client;  // client-side sheds (no free ticket) count too
+  open.counts.shed += open_shed_client;  // client-side sheds (no free ticket) count too
 
   if (roller.joinable()) {
     stop_roller.store(true, std::memory_order_relaxed);
@@ -393,33 +375,14 @@ int main(int argc, char** argv) {
                windows * net.mac_count());
   print_phase(out, closed, /*last=*/false);
   print_phase(out, open, /*last=*/false);
+  std::fprintf(out, "  \"totals\": {\n");
+  print_counters(out, final_stats);
   std::fprintf(out,
-               "  \"totals\": {\n"
-               "    \"enqueued\": %llu,\n"
-               "    \"scored\": %llu,\n"
-               "    \"shed\": %llu,\n"
-               "    \"rejected_on_admission\": %llu,\n"
-               "    \"evicted\": %llu,\n"
-               "    \"scored_late\": %llu,\n"
-               "    \"throttled\": %llu,\n"
                "    \"goodput\": %llu,\n"
-               "    \"deadline_missed\": %llu,\n"
-               "    \"failed\": %llu,\n"
-               "    \"epoch_swaps\": %llu,\n"
                "    \"in_flight\": %llu,\n"
                "    \"score_hash\": \"0x%016llx\"\n"
                "  }\n",
-               static_cast<unsigned long long>(final_stats.enqueued),
-               static_cast<unsigned long long>(final_stats.scored),
-               static_cast<unsigned long long>(final_stats.shed),
-               static_cast<unsigned long long>(final_stats.rejected_on_admission),
-               static_cast<unsigned long long>(final_stats.evicted),
-               static_cast<unsigned long long>(final_stats.scored_late),
-               static_cast<unsigned long long>(final_stats.throttled),
                static_cast<unsigned long long>(final_stats.goodput()),
-               static_cast<unsigned long long>(final_stats.deadline_missed),
-               static_cast<unsigned long long>(final_stats.failed),
-               static_cast<unsigned long long>(final_stats.epoch_swaps),
                static_cast<unsigned long long>(final_stats.in_flight()),
                static_cast<unsigned long long>(probe_hash));
   std::fprintf(out, "}\n");

@@ -129,19 +129,15 @@ int main(int argc, char** argv) {
 
   server.stop();
   service.close();
-  const serve::ServiceStatsSnapshot stats = service.stats();
-  const net::NetServerStats nstats = server.stats();
-  std::printf(
-      "shmd-served: done. conns=%llu frames_in=%llu frames_out=%llu write_calls=%llu "
-      "wakeups=%llu scored=%llu shed=%llu epoch_swaps=%llu protocol_errors=%llu\n",
-      static_cast<unsigned long long>(nstats.accepted_connections),
-      static_cast<unsigned long long>(nstats.frames_in),
-      static_cast<unsigned long long>(nstats.frames_out),
-      static_cast<unsigned long long>(nstats.write_calls),
-      static_cast<unsigned long long>(nstats.wakeups),
-      static_cast<unsigned long long>(stats.scored),
-      static_cast<unsigned long long>(stats.shed),
-      static_cast<unsigned long long>(stats.epoch_swaps),
-      static_cast<unsigned long long>(nstats.protocol_errors));
+  const auto print_counters = [](const auto& table, const auto& snap) {
+    for (const auto& row : table) {
+      std::printf(" %.*s=%llu", static_cast<int>(row.name.size()), row.name.data(),
+                  static_cast<unsigned long long>(snap.*row.member));
+    }
+  };
+  std::printf("shmd-served: done.");
+  print_counters(net::kNetServerCounters, server.stats());
+  print_counters(serve::kServiceCounters, service.stats());
+  std::printf("\n");
   return 0;
 }

@@ -50,7 +50,7 @@ enum class FrameType : std::uint8_t {
   kScore = 2,        ///< feature windows to score (ScoreRequest payload)
   kScoreResult = 3,  ///< terminal scoring outcome (ScoreResult payload)
   kStats = 4,        ///< request a ServiceStatsSnapshot (empty payload)
-  kStatsResult = 5,  ///< serve::serialize()d snapshot
+  kStatsResult = 5,  ///< serve::serialize()d snapshot: named records, unknown names skipped
   kError = 6,        ///< in-protocol rejection (ErrorBody payload)
   /// Decision-only scoring (the deployed attack surface, §V threat
   /// model): same ScoreRequest payload as kScore, but the reply is a

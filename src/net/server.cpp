@@ -31,6 +31,11 @@ std::string errno_text(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
+// Raise a high-water mark; the reactor is its only writer.
+void raise_peak(std::atomic<std::uint64_t>& peak, std::uint64_t value) noexcept {
+  if (value > peak.load(std::memory_order_relaxed)) peak.store(value, std::memory_order_relaxed);
+}
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -309,28 +314,14 @@ void NetServer::stop() {
 
 NetServerStats NetServer::stats() const {
   NetServerStats s;
-  s.accepted_connections = stats_.accepted_connections.load(std::memory_order_relaxed);
-  s.closed_connections = stats_.closed_connections.load(std::memory_order_relaxed);
-  s.frames_in = stats_.frames_in.load(std::memory_order_relaxed);
-  s.frames_out = stats_.frames_out.load(std::memory_order_relaxed);
-  s.scores_submitted = stats_.scores_submitted.load(std::memory_order_relaxed);
-  s.shed_responses = stats_.shed_responses.load(std::memory_order_relaxed);
-  s.protocol_errors = stats_.protocol_errors.load(std::memory_order_relaxed);
-  s.reads_paused = stats_.reads_paused.load(std::memory_order_relaxed);
-  s.out_buffer_peak = stats_.out_buffer_peak.load(std::memory_order_relaxed);
-  s.accept_overflow = stats_.accept_overflow.load(std::memory_order_relaxed);
-  s.throttled_responses = stats_.throttled_responses.load(std::memory_order_relaxed);
-  s.rejected_responses = stats_.rejected_responses.load(std::memory_order_relaxed);
-  s.throttled_conn_peak = stats_.throttled_conn_peak.load(std::memory_order_relaxed);
-  s.write_calls = stats_.write_calls.load(std::memory_order_relaxed);
-  s.wakeups = stats_.wakeups.load(std::memory_order_relaxed);
+  stats_.load_into(s);
   return s;
 }
 
 // -- reactor ----------------------------------------------------------------
 
 void NetServer::wake() noexcept {
-  stats_.wakeups.fetch_add(1, std::memory_order_relaxed);
+  stats_.at<&NetServerStats::wakeups>().fetch_add(1, std::memory_order_relaxed);
   const char byte = 1;
   // EAGAIN means a wake is already pending — exactly what we want.
   (void)!::write(wake_fds_[1], &byte, 1);
@@ -428,7 +419,7 @@ void NetServer::handle_accept(int listen_fd) {
           const int victim = ::accept(listen_fd, nullptr, nullptr);
           if (victim >= 0) ::close(victim);
           spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-          stats_.accept_overflow.fetch_add(1, std::memory_order_relaxed);
+          stats_.at<&NetServerStats::accept_overflow>().fetch_add(1, std::memory_order_relaxed);
           if (victim >= 0 && spare_fd_ >= 0) continue;  // keep draining the backlog
         }
       }
@@ -449,11 +440,11 @@ void NetServer::handle_accept(int listen_fd) {
     conn->trusted = trusted;
     conn_by_fd_[fd] = conn_id;
     conns_.emplace(conn_id, std::move(conn));
-    stats_.accepted_connections.fetch_add(1, std::memory_order_relaxed);
+    stats_.at<&NetServerStats::accepted_connections>().fetch_add(1, std::memory_order_relaxed);
     if (!poller_->set(fd, /*read=*/true, /*write=*/false)) {
       // Registration refused (epoll watch limit): an unmonitored socket
       // would hang forever; close it so the client sees a clean reset.
-      stats_.accept_overflow.fetch_add(1, std::memory_order_relaxed);
+      stats_.at<&NetServerStats::accept_overflow>().fetch_add(1, std::memory_order_relaxed);
       close_connection(conn_id);
     }
   }
@@ -479,7 +470,7 @@ void NetServer::handle_readable(Connection& conn) {
     }
     if (conn.decoder.failed() && !conn.close_after_flush) {
       // Framing garbage: the one offense that costs the connection.
-      stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      stats_.at<&NetServerStats::protocol_errors>().fetch_add(1, std::memory_order_relaxed);
       conn.close_after_flush = true;
       send_error(conn, 0, ErrorCode::kBadFrame, conn.decoder.error());
     }
@@ -491,7 +482,7 @@ void NetServer::handle_readable(Connection& conn) {
 }
 
 void NetServer::handle_frame(Connection& conn, Frame frame) {
-  stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
+  stats_.at<&NetServerStats::frames_in>().fetch_add(1, std::memory_order_relaxed);
   switch (frame.type) {
     case FrameType::kPing:
       send_frame(conn, FrameType::kPong, frame.request_id, frame.payload);
@@ -528,11 +519,8 @@ void NetServer::handle_score(Connection& conn, const Frame& frame, bool decision
   if (conn.bucket.enabled() &&
       !conn.bucket.try_take(std::chrono::steady_clock::now())) {
     ++conn.throttled;
-    stats_.throttled_responses.fetch_add(1, std::memory_order_relaxed);
-    if (conn.throttled > stats_.throttled_conn_peak.load(std::memory_order_relaxed)) {
-      stats_.throttled_conn_peak.store(conn.throttled,
-                                       std::memory_order_relaxed);  // reactor-only writer
-    }
+    stats_.at<&NetServerStats::throttled_responses>().fetch_add(1, std::memory_order_relaxed);
+    raise_peak(stats_.at<&NetServerStats::throttled_conn_peak>(), conn.throttled);
     service_.record_throttled();
     send_error(conn, frame.request_id, ErrorCode::kThrottled,
                "per-connection rate limit; retry later");
@@ -540,7 +528,7 @@ void NetServer::handle_score(Connection& conn, const Frame& frame, bool decision
   }
   std::optional<ScoreRequest> req = decode_score_request(frame.payload);
   if (!req.has_value() || req->view >= trace::kNumViews) {
-    stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    stats_.at<&NetServerStats::protocol_errors>().fetch_add(1, std::memory_order_relaxed);
     conn.close_after_flush = true;  // before send: flush may finish the job
     send_error(conn, frame.request_id, ErrorCode::kBadFrame, "malformed score request");
     return;
@@ -565,7 +553,7 @@ void NetServer::handle_score(Connection& conn, const Frame& frame, bool decision
   const serve::SubmitStatus status =
       service_.try_submit(pending->features, pending->ticket, deadline);
   if (status == serve::SubmitStatus::kAccepted) {
-    stats_.scores_submitted.fetch_add(1, std::memory_order_relaxed);
+    stats_.at<&NetServerStats::scores_submitted>().fetch_add(1, std::memory_order_relaxed);
     return;  // the reply travels via score_complete_hook -> drain_completions
   }
   // Rejected: the hook already pushed this key; erasing the entry makes
@@ -576,7 +564,7 @@ void NetServer::handle_score(Connection& conn, const Frame& frame, bool decision
     // disposition, not a transport condition, so it travels as a result
     // frame with outcome kRejected (exactly how a queue-expired request
     // reports kDeadlineMissed), never as an Error frame.
-    stats_.rejected_responses.fetch_add(1, std::memory_order_relaxed);
+    stats_.at<&NetServerStats::rejected_responses>().fetch_add(1, std::memory_order_relaxed);
     const auto outcome = static_cast<std::uint8_t>(serve::RequestOutcome::kRejected);
     if (decision_only) {
       VerdictResult result;
@@ -589,7 +577,7 @@ void NetServer::handle_score(Connection& conn, const Frame& frame, bool decision
     }
     return;
   }
-  stats_.shed_responses.fetch_add(1, std::memory_order_relaxed);
+  stats_.at<&NetServerStats::shed_responses>().fetch_add(1, std::memory_order_relaxed);
   const bool shed = status == serve::SubmitStatus::kShed;
   send_error(conn, frame.request_id, shed ? ErrorCode::kShed : ErrorCode::kClosed,
              shed ? "request queue full; retry later" : "scoring service closed");
@@ -704,17 +692,15 @@ void NetServer::send_error(Connection& conn, std::uint64_t request_id, ErrorCode
 }
 
 void NetServer::note_reply(const Connection& conn) {
-  stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
+  stats_.at<&NetServerStats::frames_out>().fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t depth = conn.out.size() - conn.out_at;
-  if (depth > stats_.out_buffer_peak.load(std::memory_order_relaxed)) {
-    stats_.out_buffer_peak.store(depth, std::memory_order_relaxed);  // reactor-only writer
-  }
+  raise_peak(stats_.at<&NetServerStats::out_buffer_peak>(), depth);
 }
 
 bool NetServer::flush(Connection& conn) {
   if (conn.dead) return false;
   while (conn.out_at < conn.out.size()) {
-    stats_.write_calls.fetch_add(1, std::memory_order_relaxed);
+    stats_.at<&NetServerStats::write_calls>().fetch_add(1, std::memory_order_relaxed);
     const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_at,
                              conn.out.size() - conn.out_at, MSG_NOSIGNAL);
     if (n > 0) {
@@ -751,7 +737,7 @@ bool NetServer::update_interest(Connection& conn) {
       // Bounded buffering: stop reading so TCP flow control pushes back on
       // the client instead of this buffer absorbing the flood.
       conn.reads_paused = true;
-      stats_.reads_paused.fetch_add(1, std::memory_order_relaxed);
+      stats_.at<&NetServerStats::reads_paused>().fetch_add(1, std::memory_order_relaxed);
     }
   } else if (conn.reads_paused && backlog <= config_.write_buffer_limit / 2) {
     conn.reads_paused = false;
@@ -773,7 +759,7 @@ void NetServer::close_connection(std::uint64_t conn_id) {
     if (pending->conn_id == conn_id) pending->conn_id = 0;
   }
   conns_.erase(it);
-  stats_.closed_connections.fetch_add(1, std::memory_order_relaxed);
+  stats_.at<&NetServerStats::closed_connections>().fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace shmd::net

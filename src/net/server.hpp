@@ -59,6 +59,7 @@
 #include "net/frame.hpp"
 #include "serve/scoring_service.hpp"
 #include "util/cli.hpp"
+#include "util/counter_table.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -110,6 +111,25 @@ struct NetServerStats {
   std::uint64_t write_calls = 0;  ///< send() calls on client connections
   std::uint64_t wakeups = 0;      ///< wake-pipe writes (completion hooks + stop())
 };
+
+/// NetServerStats, one row per counter (see util::CounterBlock).
+inline constexpr auto kNetServerCounters = std::to_array<util::CounterRow<NetServerStats>>({
+    {"accepted_connections", &NetServerStats::accepted_connections},
+    {"closed_connections", &NetServerStats::closed_connections},
+    {"frames_in", &NetServerStats::frames_in},
+    {"frames_out", &NetServerStats::frames_out},
+    {"scores_submitted", &NetServerStats::scores_submitted},
+    {"shed_responses", &NetServerStats::shed_responses},
+    {"protocol_errors", &NetServerStats::protocol_errors},
+    {"reads_paused", &NetServerStats::reads_paused},
+    {"out_buffer_peak", &NetServerStats::out_buffer_peak},
+    {"accept_overflow", &NetServerStats::accept_overflow},
+    {"throttled_responses", &NetServerStats::throttled_responses},
+    {"rejected_responses", &NetServerStats::rejected_responses},
+    {"throttled_conn_peak", &NetServerStats::throttled_conn_peak},
+    {"write_calls", &NetServerStats::write_calls},
+    {"wakeups", &NetServerStats::wakeups},
+});
 
 class NetServer {
  public:
@@ -213,24 +233,7 @@ class NetServer {
   std::atomic<bool> stop_requested_{false};
   bool started_ = false;
 
-  struct AtomicStats {
-    std::atomic<std::uint64_t> accepted_connections{0};
-    std::atomic<std::uint64_t> closed_connections{0};
-    std::atomic<std::uint64_t> frames_in{0};
-    std::atomic<std::uint64_t> frames_out{0};
-    std::atomic<std::uint64_t> scores_submitted{0};
-    std::atomic<std::uint64_t> shed_responses{0};
-    std::atomic<std::uint64_t> protocol_errors{0};
-    std::atomic<std::uint64_t> reads_paused{0};
-    std::atomic<std::uint64_t> out_buffer_peak{0};
-    std::atomic<std::uint64_t> accept_overflow{0};
-    std::atomic<std::uint64_t> throttled_responses{0};
-    std::atomic<std::uint64_t> rejected_responses{0};
-    std::atomic<std::uint64_t> throttled_conn_peak{0};
-    std::atomic<std::uint64_t> write_calls{0};
-    std::atomic<std::uint64_t> wakeups{0};
-  };
-  mutable AtomicStats stats_;
+  util::CounterBlock<kNetServerCounters> stats_;
 };
 
 }  // namespace shmd::net

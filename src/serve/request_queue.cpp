@@ -6,9 +6,11 @@
 namespace shmd::serve {
 
 RequestQueue::RequestQueue(std::size_t capacity,
-                           std::unique_ptr<const admit::AdmissionPolicy> policy)
+                           std::unique_ptr<const admit::AdmissionPolicy> policy,
+                           ServiceStats* stats)
     : policy_(policy != nullptr ? std::move(policy)
                                 : admit::make_policy(admit::PolicyKind::kFifo)),
+      stats_(stats),
       ring_(capacity) {
   if (capacity == 0) throw std::invalid_argument("RequestQueue: capacity must be > 0");
 }
@@ -32,10 +34,7 @@ SubmitStatus RequestQueue::try_push(const Request& request, Request* evicted) {
       head_ = (head_ + 1) % ring_.size();
       --count_;
     }
-    Request& slot = ring_[(head_ + count_) % ring_.size()];
-    slot = request;
-    slot.seq = next_seq_++;
-    ++count_;
+    append(request);
   }
   not_empty_.notify_one();
   return SubmitStatus::kAccepted;
@@ -46,13 +45,18 @@ SubmitStatus RequestQueue::push(const Request& request) {
     const util::MutexLock lock(mu_);
     while (!closed_ && count_ == ring_.size()) not_full_.wait(mu_);
     if (closed_) return SubmitStatus::kClosed;
-    Request& slot = ring_[(head_ + count_) % ring_.size()];
-    slot = request;
-    slot.seq = next_seq_++;
-    ++count_;
+    append(request);
   }
   not_empty_.notify_one();
   return SubmitStatus::kAccepted;
+}
+
+void RequestQueue::append(const Request& request) {
+  Request& slot = ring_[(head_ + count_) % ring_.size()];
+  slot = request;
+  slot.seq = next_seq_++;
+  ++count_;
+  if (stats_ != nullptr) stats_->on_enqueued();
 }
 
 Request RequestQueue::take_one() {

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "admit/policy.hpp"
+#include "serve/service_stats.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -74,9 +75,11 @@ struct Request {
 class RequestQueue {
  public:
   /// `policy` selects the overload behavior (see admit::AdmissionPolicy);
-  /// nullptr installs the FIFO baseline.
+  /// nullptr installs the FIFO baseline. A non-null `stats` counts each
+  /// admission under the lock, before any consumer can pop the request.
   explicit RequestQueue(std::size_t capacity,
-                        std::unique_ptr<const admit::AdmissionPolicy> policy = nullptr);
+                        std::unique_ptr<const admit::AdmissionPolicy> policy = nullptr,
+                        ServiceStats* stats = nullptr);
 
   RequestQueue(const RequestQueue&) = delete;
   RequestQueue& operator=(const RequestQueue&) = delete;
@@ -126,11 +129,14 @@ class RequestQueue {
   [[nodiscard]] const admit::AdmissionPolicy& policy() const noexcept { return *policy_; }
 
  private:
+  /// Append a request to a ring with room, stamping its seq (mu_ held).
+  void append(const Request& request) SHMD_REQUIRES(mu_);
   /// Pop one request off whichever end the policy selects (mu_ held).
   [[nodiscard]] Request take_one() SHMD_REQUIRES(mu_);
 
   /// Installed before any thread sees the queue; immutable afterwards.
   const std::unique_ptr<const admit::AdmissionPolicy> policy_;
+  ServiceStats* const stats_;
   mutable util::Mutex mu_;
   util::CondVar not_full_ SHMD_CV_WAITS_ON(mu_);
   util::CondVar not_empty_ SHMD_CV_WAITS_ON(mu_);

@@ -10,7 +10,7 @@ namespace shmd::serve {
 
 ScoringService::ScoringService(DetectorEpoch initial_epoch, ServeConfig config)
     : config_(config),
-      queue_(config.queue_capacity, admit::make_policy(config.admission_policy)),
+      queue_(config.queue_capacity, admit::make_policy(config.admission_policy), &stats_),
       predictor_(config.ewma_alpha) {
   if (config_.max_batch == 0) {
     throw std::invalid_argument("ScoringService: max_batch must be >= 1");
@@ -84,8 +84,7 @@ SubmitStatus ScoringService::do_submit(const trace::FeatureSet& features, ScoreT
   const SubmitStatus status =
       blocking ? queue_.push(request) : queue_.try_push(request, &evicted);
   switch (status) {
-    case SubmitStatus::kAccepted:
-      stats_.on_enqueued();
+    case SubmitStatus::kAccepted:  // the queue counted the admission
       if (evicted.ticket != nullptr) {
         // The queue handed the displaced oldest request back to us; its
         // submitter may be wait()ing, so it completes here — exactly

@@ -284,9 +284,9 @@ class ScoringService {
   void worker_loop(std::size_t w);
 
   ServeConfig config_;
+  ServiceStats stats_;  ///< before queue_, which counts admissions into it
   RequestQueue queue_;
   EpochSlot slot_;
-  ServiceStats stats_;
   admit::WaitPredictor predictor_;
   std::atomic<std::uint64_t> next_epoch_id_{0};
   std::vector<hmd::RequestScorer> workers_;  ///< sized once; never reallocated while serving

@@ -1,7 +1,14 @@
 #include "serve/service_stats.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <numeric>
+#include <string>
+#include <string_view>
+#include <utility>
 
 namespace shmd::serve {
 
@@ -11,6 +18,50 @@ std::size_t bucket_of(std::uint64_t ns) noexcept {
   if (ns == 0) return 0;
   const std::size_t b = static_cast<std::size_t>(std::bit_width(ns)) - 1;
   return b < LatencyHistogram::kBuckets ? b : LatencyHistogram::kBuckets - 1;
+}
+
+void add(faultsim::FaultStats& into, const faultsim::FaultStats& f) { into.merge(f); }
+void add(std::uint64_t& into, std::uint64_t n) { into += n; }
+
+// Bounds a per-epoch map, which a moving-target service would otherwise
+// grow forever: folds all but the newest kMaxTrackedEpochs entries into
+// `folded`, losing no count, and returns how many epochs it folded.
+template <class Value>
+std::uint64_t fold_oldest(std::map<std::uint64_t, Value>& by_epoch, Value& folded) {
+  std::uint64_t n = 0;
+  for (; by_epoch.size() > ServiceStats::kMaxTrackedEpochs; ++n) {
+    add(folded, by_epoch.begin()->second);
+    by_epoch.erase(by_epoch.begin());
+  }
+  return n;
+}
+
+constexpr std::size_t kFaultWords =
+    2 + static_cast<std::size_t>(faultsim::BitFaultDistribution::kBits);
+
+// Explicit little-endian byte encoding: the wire format must not depend
+// on host endianness or struct layout.
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+std::uint64_t get_le(std::span<const std::uint8_t> in, int bytes) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) v |= std::uint64_t{in[i]} << (8 * i);
+  return v;
+}
+
+void append_faults(std::vector<std::uint64_t>& words, const faultsim::FaultStats& f) {
+  words.insert(words.end(), {f.operations, f.faults});
+  words.insert(words.end(), f.bit_flips.begin(), f.bit_flips.end());
+}
+
+faultsim::FaultStats get_faults(std::span<const std::uint64_t> words) {
+  faultsim::FaultStats f;
+  f.operations = words[0];
+  f.faults = words[1];
+  std::copy_n(words.begin() + 2, f.bit_flips.size(), f.bit_flips.begin());
+  return f;
 }
 
 }  // namespace
@@ -32,205 +83,38 @@ double LatencyHistogram::quantile_ns(double q) const noexcept {
 }
 
 void ServiceStats::on_deadline_missed(std::uint64_t wait_ns) noexcept {
-  deadline_missed_.fetch_add(1, std::memory_order_relaxed);
+  counters_.at<&ServiceStatsSnapshot::deadline_missed>().fetch_add(1, std::memory_order_release);
   missed_wait_buckets_[bucket_of(wait_ns)].fetch_add(1, std::memory_order_relaxed);
 }
 
 void ServiceStats::on_evicted(std::uint64_t wait_ns) noexcept {
-  evicted_.fetch_add(1, std::memory_order_relaxed);
+  counters_.at<&ServiceStatsSnapshot::evicted>().fetch_add(1, std::memory_order_release);
   missed_wait_buckets_[bucket_of(wait_ns)].fetch_add(1, std::memory_order_relaxed);
 }
 
 void ServiceStats::on_scored(std::uint64_t latency_ns, std::uint64_t epoch_id,
                              const faultsim::FaultStats& faults, bool late) {
-  // scored_ is bumped BEFORE scored_late_ and snapshot() reads them in
-  // the opposite order, so goodput() (scored - scored_late) never
-  // underflows — same discipline as enqueued_ vs the terminal counters.
-  scored_.fetch_add(1, std::memory_order_relaxed);
-  if (late) scored_late_.fetch_add(1, std::memory_order_relaxed);
+  // scored before scored_late, both release: snapshot() reads them in reverse.
+  counters_.at<&ServiceStatsSnapshot::scored>().fetch_add(1, std::memory_order_release);
+  if (late) {
+    counters_.at<&ServiceStatsSnapshot::scored_late>().fetch_add(1, std::memory_order_release);
+  }
   latency_buckets_[bucket_of(latency_ns)].fetch_add(1, std::memory_order_relaxed);
   const util::MutexLock lock(faults_mu_);
   per_epoch_faults_[epoch_id].merge(faults);
-  // Bound the map: a moving-target service re-rolls epochs indefinitely,
-  // so without aging this grows (and the serialized Stats payload with
-  // it) until snapshots blow the frame payload limit. Fold the oldest
-  // epochs into the aggregate; no fault count is ever lost.
-  while (per_epoch_faults_.size() > kMaxTrackedEpochs) {
-    const auto oldest = per_epoch_faults_.begin();
-    folded_faults_.merge(oldest->second);
-    ++folded_epochs_;
-    per_epoch_faults_.erase(oldest);
-  }
+  folded_epochs_ += fold_oldest(per_epoch_faults_, folded_faults_);
 }
 
 void ServiceStats::on_verdict_query(std::uint64_t epoch_id) {
-  verdict_queries_.fetch_add(1, std::memory_order_relaxed);
+  counters_.at<&ServiceStatsSnapshot::verdict_queries>().fetch_add(1, std::memory_order_relaxed);
   const util::MutexLock lock(faults_mu_);
   ++per_epoch_verdicts_[epoch_id];
-  // Same aging discipline as the fault map: the total survives folding.
-  while (per_epoch_verdicts_.size() > kMaxTrackedEpochs) {
-    const auto oldest = per_epoch_verdicts_.begin();
-    folded_verdict_queries_ += oldest->second;
-    per_epoch_verdicts_.erase(oldest);
-  }
-}
-
-namespace {
-
-// Explicit little-endian byte encoding: the wire format must not depend
-// on host endianness or struct layout.
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint64_t get_u64(std::span<const std::uint8_t> bytes, std::size_t offset) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{bytes[offset + i]} << (8 * i);
-  return v;
-}
-
-constexpr std::uint8_t kSnapshotFormat = 5;  // v5: admission-control counters
-                                             // (rejected_on_admission, evicted,
-                                             // scored_late, throttled); v4 added
-                                             // the verdict-query counter + map
-constexpr std::size_t kCounterWords = 12;
-constexpr std::size_t kFaultStatsWords =
-    2 + static_cast<std::size_t>(faultsim::BitFaultDistribution::kBits);
-constexpr std::size_t kEpochEntryWords = 1 + kFaultStatsWords;
-
-}  // namespace
-
-std::vector<std::uint8_t> serialize(const ServiceStatsSnapshot& snap) {
-  std::vector<std::uint8_t> out;
-  out.reserve(1 + 8 * (kCounterWords + 1 + kFaultStatsWords + 1 + 2 * LatencyHistogram::kBuckets +
-                       kEpochEntryWords * snap.per_epoch_faults.size() + 2 +
-                       2 * snap.per_epoch_verdicts.size()));
-  out.push_back(kSnapshotFormat);
-  put_u64(out, snap.enqueued);
-  put_u64(out, snap.shed);
-  put_u64(out, snap.rejected_closed);
-  put_u64(out, snap.scored);
-  put_u64(out, snap.deadline_missed);
-  put_u64(out, snap.failed);
-  put_u64(out, snap.epoch_swaps);
-  put_u64(out, snap.verdict_queries);
-  put_u64(out, snap.rejected_on_admission);
-  put_u64(out, snap.evicted);
-  put_u64(out, snap.scored_late);
-  put_u64(out, snap.throttled);
-  for (const std::uint64_t count : snap.latency.counts) put_u64(out, count);
-  for (const std::uint64_t count : snap.missed_wait.counts) put_u64(out, count);
-  put_u64(out, snap.folded_epochs);
-  put_u64(out, snap.folded_faults.operations);
-  put_u64(out, snap.folded_faults.faults);
-  for (const std::uint64_t flips : snap.folded_faults.bit_flips) put_u64(out, flips);
-  put_u64(out, snap.per_epoch_faults.size());
-  for (const auto& [epoch_id, faults] : snap.per_epoch_faults) {
-    put_u64(out, epoch_id);
-    put_u64(out, faults.operations);
-    put_u64(out, faults.faults);
-    for (const std::uint64_t flips : faults.bit_flips) put_u64(out, flips);
-  }
-  put_u64(out, snap.folded_verdict_queries);
-  put_u64(out, snap.per_epoch_verdicts.size());
-  for (const auto& [epoch_id, count] : snap.per_epoch_verdicts) {
-    put_u64(out, epoch_id);
-    put_u64(out, count);
-  }
-  return out;
-}
-
-std::optional<ServiceStatsSnapshot> deserialize_snapshot(std::span<const std::uint8_t> bytes) {
-  // Fixed part: format byte, counters, both histograms, folded faults,
-  // fault-map length — plus (after the variable fault section) the folded
-  // verdict counter and the verdict-map length.
-  constexpr std::size_t kFixed =
-      1 + 8 * (kCounterWords + 2 * LatencyHistogram::kBuckets + 1 + kFaultStatsWords + 1 + 2);
-  if (bytes.size() < kFixed || bytes[0] != kSnapshotFormat) return std::nullopt;
-  ServiceStatsSnapshot snap;
-  std::size_t at = 1;
-  const auto next = [&] {
-    const std::uint64_t v = get_u64(bytes, at);
-    at += 8;
-    return v;
-  };
-  snap.enqueued = next();
-  snap.shed = next();
-  snap.rejected_closed = next();
-  snap.scored = next();
-  snap.deadline_missed = next();
-  snap.failed = next();
-  snap.epoch_swaps = next();
-  snap.verdict_queries = next();
-  snap.rejected_on_admission = next();
-  snap.evicted = next();
-  snap.scored_late = next();
-  snap.throttled = next();
-  for (std::uint64_t& count : snap.latency.counts) {
-    count = next();
-    snap.latency.total += count;
-  }
-  for (std::uint64_t& count : snap.missed_wait.counts) {
-    count = next();
-    snap.missed_wait.total += count;
-  }
-  snap.folded_epochs = next();
-  snap.folded_faults.operations = next();
-  snap.folded_faults.faults = next();
-  for (std::uint64_t& flips : snap.folded_faults.bit_flips) flips = next();
-  const std::uint64_t n_epochs = next();
-  // Reject a length that cannot match the remaining bytes BEFORE trusting
-  // it (a hostile count must not drive reads, allocations, or overflow).
-  // The fault entries must leave room for the verdict section's two fixed
-  // words; the verdict-map check below then consumes the rest exactly.
-  constexpr std::uint64_t kEntryBytes = 8 * kEpochEntryWords;
-  constexpr std::uint64_t kVerdictFixedBytes = 8 * 2;
-  if (bytes.size() - at < kVerdictFixedBytes ||
-      n_epochs > (bytes.size() - at - kVerdictFixedBytes) / kEntryBytes) {
-    return std::nullopt;
-  }
-  for (std::uint64_t e = 0; e < n_epochs; ++e) {
-    const std::uint64_t epoch_id = next();
-    faultsim::FaultStats& faults = snap.per_epoch_faults[epoch_id];
-    faults.operations = next();
-    faults.faults = next();
-    for (std::uint64_t& flips : faults.bit_flips) flips = next();
-  }
-  if (bytes.size() - at < kVerdictFixedBytes) return std::nullopt;
-  snap.folded_verdict_queries = next();
-  const std::uint64_t n_verdicts = next();
-  constexpr std::uint64_t kVerdictEntryBytes = 8 * 2;
-  if (n_verdicts > (bytes.size() - at) / kVerdictEntryBytes ||
-      bytes.size() - at != n_verdicts * kVerdictEntryBytes) {
-    return std::nullopt;
-  }
-  for (std::uint64_t e = 0; e < n_verdicts; ++e) {
-    const std::uint64_t epoch_id = next();
-    snap.per_epoch_verdicts[epoch_id] = next();
-  }
-  return snap;
+  (void)fold_oldest(per_epoch_verdicts_, folded_verdict_queries_);
 }
 
 ServiceStatsSnapshot ServiceStats::snapshot() const {
   ServiceStatsSnapshot snap;
-  // Terminal counters are read BEFORE enqueued_: a request that lands
-  // between the two reads then inflates in_flight() instead of
-  // underflowing it (a request increments enqueued_ strictly before its
-  // terminal counter, so this order keeps enqueued >= scored + missed).
-  // scored_late_ before scored_ for the same reason (goodput() must not
-  // underflow).
-  snap.scored_late = scored_late_.load(std::memory_order_relaxed);
-  snap.scored = scored_.load(std::memory_order_relaxed);
-  snap.deadline_missed = deadline_missed_.load(std::memory_order_relaxed);
-  snap.failed = failed_.load(std::memory_order_relaxed);
-  snap.evicted = evicted_.load(std::memory_order_relaxed);
-  snap.enqueued = enqueued_.load(std::memory_order_relaxed);
-  snap.shed = shed_.load(std::memory_order_relaxed);
-  snap.rejected_closed = rejected_closed_.load(std::memory_order_relaxed);
-  snap.epoch_swaps = epoch_swaps_.load(std::memory_order_relaxed);
-  snap.verdict_queries = verdict_queries_.load(std::memory_order_relaxed);
-  snap.rejected_on_admission = rejected_on_admission_.load(std::memory_order_relaxed);
-  snap.throttled = throttled_.load(std::memory_order_relaxed);
+  counters_.load_into(snap);  // in kServiceCounters order, which is what keeps in_flight() sane
   for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
     snap.latency.counts[b] = latency_buckets_[b].load(std::memory_order_relaxed);
     snap.latency.total += snap.latency.counts[b];
@@ -245,6 +129,88 @@ ServiceStatsSnapshot ServiceStats::snapshot() const {
     snap.per_epoch_verdicts = per_epoch_verdicts_;
     snap.folded_verdict_queries = folded_verdict_queries_;
   }
+  return snap;
+}
+
+std::vector<std::uint8_t> serialize(const ServiceStatsSnapshot& snap) {
+  std::vector<std::uint8_t> out;
+  const auto record = [&out](std::string_view name, std::span<const std::uint64_t> words) {
+    out.push_back(static_cast<std::uint8_t>(name.size()));
+    out.insert(out.end(), name.begin(), name.end());
+    put_le(out, words.size(), 4);
+    for (const std::uint64_t v : words) put_le(out, v, 8);
+  };
+  for (const auto& row : kServiceCounters) record(row.name, {&(snap.*row.member), 1});
+  record("latency", snap.latency.counts);
+  record("missed_wait", snap.missed_wait.counts);
+  record("folded_epochs", {&snap.folded_epochs, 1});
+  record("folded_verdict_queries", {&snap.folded_verdict_queries, 1});
+  std::vector<std::uint64_t> words;
+  append_faults(words, snap.folded_faults);
+  record("folded_faults", words);
+  words.clear();
+  for (const auto& [epoch_id, faults] : snap.per_epoch_faults) {
+    words.push_back(epoch_id);
+    append_faults(words, faults);
+  }
+  record("per_epoch_faults", words);
+  words.clear();
+  for (const auto& [epoch_id, count] : snap.per_epoch_verdicts) {
+    words.insert(words.end(), {epoch_id, count});
+  }
+  record("per_epoch_verdicts", words);
+  return out;
+}
+
+std::optional<ServiceStatsSnapshot> deserialize_snapshot(std::span<const std::uint8_t> bytes) {
+  // Split into records by name, checking every length against the
+  // remaining bytes before using it.
+  std::map<std::string, std::vector<std::uint64_t>, std::less<>> records;
+  while (!bytes.empty()) {
+    const std::size_t name_size = bytes[0];
+    if (bytes.size() - 1 < name_size + 4) return std::nullopt;
+    std::string name(bytes.begin() + 1, bytes.begin() + 1 + static_cast<std::ptrdiff_t>(name_size));
+    const std::uint64_t n = get_le(bytes.subspan(1 + name_size), 4);
+    bytes = bytes.subspan(1 + name_size + 4);
+    if (n > bytes.size() / 8) return std::nullopt;
+    std::vector<std::uint64_t> words(n);
+    for (std::size_t i = 0; i < n; ++i) words[i] = get_le(bytes.subspan(8 * i), 8);
+    bytes = bytes.subspan(8 * n);
+    if (!records.emplace(std::move(name), std::move(words)).second) return std::nullopt;
+  }
+  // Unknown names are skipped; a known record must be present with exactly
+  // `size` words (per-epoch maps: a multiple). A misfit reads as zeros.
+  bool ok = true;
+  static constexpr std::array<std::uint64_t, kFaultWords> kZeros{};
+  const auto take = [&](std::string_view name, std::size_t size, bool per_epoch = false) {
+    const auto it = records.find(name);
+    const std::size_t n = it == records.end() ? 0 : it->second.size();
+    const bool fits = it != records.end() && (per_epoch ? n % size == 0 : n == size);
+    ok = ok && fits;
+    return fits ? std::span<const std::uint64_t>(it->second)
+                : std::span<const std::uint64_t>(kZeros).first(per_epoch ? 0 : size);
+  };
+  const auto histogram = [&](std::string_view name, LatencyHistogram& hist) {
+    const auto words = take(name, LatencyHistogram::kBuckets);
+    std::copy(words.begin(), words.end(), hist.counts.begin());
+    hist.total = std::accumulate(words.begin(), words.end(), std::uint64_t{0});
+  };
+  ServiceStatsSnapshot snap;
+  for (const auto& row : kServiceCounters) snap.*row.member = take(row.name, 1)[0];
+  histogram("latency", snap.latency);
+  histogram("missed_wait", snap.missed_wait);
+  snap.folded_epochs = take("folded_epochs", 1)[0];
+  snap.folded_verdict_queries = take("folded_verdict_queries", 1)[0];
+  snap.folded_faults = get_faults(take("folded_faults", kFaultWords));
+  const auto faults = take("per_epoch_faults", 1 + kFaultWords, true);
+  for (std::size_t i = 0; i < faults.size(); i += 1 + kFaultWords) {
+    ok = snap.per_epoch_faults.emplace(faults[i], get_faults(faults.subspan(i + 1))).second && ok;
+  }
+  const auto verdicts = take("per_epoch_verdicts", 2, true);
+  for (std::size_t i = 0; i < verdicts.size(); i += 2) {
+    ok = snap.per_epoch_verdicts.emplace(verdicts[i], verdicts[i + 1]).second && ok;
+  }
+  if (!ok) return std::nullopt;
   return snap;
 }
 

@@ -3,13 +3,12 @@
 //
 // A serving layer that sheds load must be able to prove it never *loses*
 // load: every request a client hands to the service is accounted for as
-// exactly one of scored / shed / deadline-missed. The counters here are
-// lock-free atomics bumped on the hot path; the latency histogram uses
-// power-of-two nanosecond buckets so recording is one CLZ plus one atomic
-// increment; only the per-epoch fault-statistics map takes a mutex (one
-// short merge per completed request). `snapshot()` returns a plain value
-// type, so readers never observe half-updated state and monitoring code
-// can diff snapshots across rounds.
+// exactly one of scored / shed / deadline-missed. The plain counters are
+// listed once, in kServiceCounters, which drives their lock-free storage,
+// the snapshot read order and the Stats wire records. Latency histograms
+// use power-of-two nanosecond buckets (one CLZ plus one atomic increment);
+// only the per-epoch maps take a mutex. `snapshot()` returns a plain
+// value type that monitoring code can diff across rounds.
 #pragma once
 
 #include <array>
@@ -21,6 +20,7 @@
 #include <vector>
 
 #include "faultsim/fault_injector.hpp"
+#include "util/counter_table.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -37,9 +37,7 @@ struct LatencyHistogram {
   /// Latency (ns) at quantile `q` in [0, 1]: the geometric midpoint
   /// 2^(b+0.5) of the first bucket whose cumulative count reaches
   /// q * total — the unbiased point estimate under a log-uniform
-  /// within-bucket assumption. (The upper edge overstated every quantile
-  /// by up to 2x: bucket 0 reported 2 ns for sub-nanosecond samples.)
-  /// Returns 0 when the histogram is empty.
+  /// within-bucket assumption. Returns 0 when the histogram is empty.
   [[nodiscard]] double quantile_ns(double q) const noexcept;
   [[nodiscard]] double p50_ns() const noexcept { return quantile_ns(0.50); }
   [[nodiscard]] double p99_ns() const noexcept { return quantile_ns(0.99); }
@@ -75,19 +73,15 @@ struct ServiceStatsSnapshot {
   /// enqueued, reported separately.
   std::uint64_t throttled = 0;
   LatencyHistogram latency;           ///< enqueue→completion, scored only
-  /// Queue-wait of deadline-missed requests (enqueue→expiry-detection).
-  /// Kept separate from `latency` so scored-path quantiles stay
-  /// survivor-only, while overload analysis still sees how long the
-  /// expired requests sat — before this histogram, missed requests left
-  /// no latency trace at all and overload p50/p99 reflected survivors.
+  /// Queue-wait of deadline-missed and evicted requests. Kept separate
+  /// from `latency` so scored-path quantiles stay survivor-only, while
+  /// overload analysis still sees how long the casualties sat.
   LatencyHistogram missed_wait;
   /// Fault statistics per detector epoch (keyed by DetectorEpoch::id) —
   /// the serving-layer equivalent of StochasticHmd::fault_stats(), split
-  /// at reconfiguration boundaries. Bounded: only the most recent
-  /// ServiceStats::kMaxTrackedEpochs epochs are listed individually;
-  /// older ones are folded into `folded_faults` so a long-lived service
-  /// re-rolling epochs every few hundred milliseconds cannot grow this
-  /// map (and the serialized Stats payload) without bound.
+  /// at reconfiguration boundaries. Only the newest
+  /// ServiceStats::kMaxTrackedEpochs epochs are listed; older ones fold
+  /// into `folded_faults`, so the map and the Stats payload stay bounded.
   std::map<std::uint64_t, faultsim::FaultStats> per_epoch_faults;
   faultsim::FaultStats folded_faults;  ///< aggregate of epochs aged out of the map
   std::uint64_t folded_epochs = 0;     ///< how many epochs were folded
@@ -112,11 +106,32 @@ struct ServiceStatsSnapshot {
   friend bool operator==(const ServiceStatsSnapshot&, const ServiceStatsSnapshot&) = default;
 };
 
-/// Compact fixed-width little-endian serialization of a snapshot — the
-/// payload of the network Stats frame, so a remote client reads the same
-/// accounting a local caller would. The layout is versioned (one leading
-/// format byte); deserialize_snapshot rejects unknown versions and
-/// truncated or trailing-garbage buffers with nullopt, never UB.
+/// The service's counters in snapshot read order. The admission is
+/// counted before a worker can see the request and every later bump is a
+/// release, so reading terminal counters before `enqueued` (and
+/// `scored_late` before `scored`) keeps in_flight() and goodput() >= 0.
+inline constexpr auto kServiceCounters = std::to_array<util::CounterRow<ServiceStatsSnapshot>>({
+    {"scored_late", &ServiceStatsSnapshot::scored_late},
+    {"scored", &ServiceStatsSnapshot::scored},
+    {"deadline_missed", &ServiceStatsSnapshot::deadline_missed},
+    {"failed", &ServiceStatsSnapshot::failed},
+    {"evicted", &ServiceStatsSnapshot::evicted},
+    {"enqueued", &ServiceStatsSnapshot::enqueued},
+    {"shed", &ServiceStatsSnapshot::shed},
+    {"rejected_closed", &ServiceStatsSnapshot::rejected_closed},
+    {"epoch_swaps", &ServiceStatsSnapshot::epoch_swaps},
+    {"verdict_queries", &ServiceStatsSnapshot::verdict_queries},
+    {"rejected_on_admission", &ServiceStatsSnapshot::rejected_on_admission},
+    {"throttled", &ServiceStatsSnapshot::throttled},
+});
+
+/// The Stats frame payload: named records `u8 name length | name | u32
+/// word count | u64 LE words`, one 1-word record per kServiceCounters row,
+/// then the histograms, folded aggregates and per-epoch maps.
+/// deserialize_snapshot skips unknown names (a newer server's extra
+/// counter never breaks an older reader) and returns nullopt, never UB,
+/// on a truncated record, a duplicate or missing known record, a word
+/// count that does not fit its field, or trailing bytes.
 [[nodiscard]] std::vector<std::uint8_t> serialize(const ServiceStatsSnapshot& snap);
 [[nodiscard]] std::optional<ServiceStatsSnapshot> deserialize_snapshot(
     std::span<const std::uint8_t> bytes);
@@ -130,26 +145,26 @@ class ServiceStats {
   /// frame layer's 1 MiB default payload limit.
   static constexpr std::size_t kMaxTrackedEpochs = 256;
 
-  void on_enqueued() noexcept { enqueued_.fetch_add(1, std::memory_order_relaxed); }
-  void on_shed() noexcept { shed_.fetch_add(1, std::memory_order_relaxed); }
-  void on_rejected_closed() noexcept {
-    rejected_closed_.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// Called by the RequestQueue under its lock, before any worker can pop
+  /// the request.
+  void on_enqueued() noexcept { count<&ServiceStatsSnapshot::enqueued>(); }
+  void on_shed() noexcept { count<&ServiceStatsSnapshot::shed>(); }
+  void on_rejected_closed() noexcept { count<&ServiceStatsSnapshot::rejected_closed>(); }
   /// Record one deadline miss, with how long the request waited in the
   /// queue before a worker found it expired.
   void on_deadline_missed(std::uint64_t wait_ns) noexcept;
-  void on_failed() noexcept { failed_.fetch_add(1, std::memory_order_relaxed); }
-  void on_epoch_swap() noexcept { epoch_swaps_.fetch_add(1, std::memory_order_relaxed); }
-  /// Admission-control rejection at the door (never enqueued).
-  void on_rejected_admission() noexcept {
-    rejected_on_admission_.fetch_add(1, std::memory_order_relaxed);
+  void on_failed() noexcept {
+    counters_.at<&ServiceStatsSnapshot::failed>().fetch_add(1, std::memory_order_release);
   }
+  void on_epoch_swap() noexcept { count<&ServiceStatsSnapshot::epoch_swaps>(); }
+  /// Admission-control rejection at the door (never enqueued).
+  void on_rejected_admission() noexcept { count<&ServiceStatsSnapshot::rejected_on_admission>(); }
   /// Drop-oldest eviction of an admitted request, with how long the
   /// victim waited before being displaced (recorded into the missed-wait
   /// histogram: evictions and expiries are both queue-wait casualties).
   void on_evicted(std::uint64_t wait_ns) noexcept;
   /// Transport fair-share throttle rejection (kThrottled Error frame).
-  void on_throttled() noexcept { throttled_.fetch_add(1, std::memory_order_relaxed); }
+  void on_throttled() noexcept { count<&ServiceStatsSnapshot::throttled>(); }
 
   /// Record one completed scoring: latency plus the request's fault-stat
   /// delta attributed to the epoch that scored it. `late` marks a request
@@ -164,18 +179,13 @@ class ServiceStats {
   [[nodiscard]] ServiceStatsSnapshot snapshot() const;
 
  private:
-  std::atomic<std::uint64_t> enqueued_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> rejected_closed_{0};
-  std::atomic<std::uint64_t> scored_{0};
-  std::atomic<std::uint64_t> deadline_missed_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> epoch_swaps_{0};
-  std::atomic<std::uint64_t> verdict_queries_{0};
-  std::atomic<std::uint64_t> rejected_on_admission_{0};
-  std::atomic<std::uint64_t> evicted_{0};
-  std::atomic<std::uint64_t> scored_late_{0};
-  std::atomic<std::uint64_t> throttled_{0};
+  /// A bump no snapshot read order depends on.
+  template <std::uint64_t ServiceStatsSnapshot::*Member>
+  void count() noexcept {
+    counters_.at<Member>().fetch_add(1, std::memory_order_relaxed);
+  }
+
+  util::CounterBlock<kServiceCounters> counters_;
   std::array<std::atomic<std::uint64_t>, LatencyHistogram::kBuckets> latency_buckets_{};
   std::array<std::atomic<std::uint64_t>, LatencyHistogram::kBuckets> missed_wait_buckets_{};
   mutable util::Mutex faults_mu_;

@@ -39,6 +39,11 @@ namespace {
 
 using namespace std::chrono_literals;
 
+// NetServerStats is all counters: a member without a kNetServerCounters
+// row would never be stored, read or dumped.
+static_assert(sizeof(NetServerStats) == kNetServerCounters.size() * sizeof(std::uint64_t),
+              "every NetServerStats member is one u64 with one kNetServerCounters row");
+
 constexpr std::size_t kInputs = 8;
 const trace::FeatureConfig kFc{trace::FeatureView::kInsnCategory, 2048};
 

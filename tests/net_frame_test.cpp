@@ -14,6 +14,7 @@
 
 #include "net/frame.hpp"
 #include "rng/xoshiro256ss.hpp"
+#include "serve/service_stats.hpp"
 
 namespace shmd::net {
 namespace {
@@ -262,6 +263,7 @@ TEST(NetFrame, PayloadDecoderFuzzNeverCrashes) {
     (void)decode_score_result(bytes);
     (void)decode_verdict_result(bytes);
     (void)decode_error(bytes);
+    (void)serve::deserialize_snapshot(bytes);
   }
   // Mutated valid payloads: flip one byte anywhere; must decode or reject,
   // never crash.
@@ -270,6 +272,19 @@ TEST(NetFrame, PayloadDecoderFuzzNeverCrashes) {
     std::vector<std::uint8_t> mutant = valid;
     mutant[gen.below(mutant.size())] ^= static_cast<std::uint8_t>(1 + (gen() & 0xFF));
     (void)decode_score_request(mutant);
+  }
+  // The Stats payload of a snapshot with 2 epochs, mutated the same way.
+  serve::ServiceStatsSnapshot snap;
+  snap.scored = 9;
+  snap.per_epoch_faults[1].faults = 4;
+  snap.per_epoch_faults[2].bit_flips[7] = 1;
+  snap.per_epoch_verdicts[1] = 2;
+  snap.per_epoch_verdicts[2] = 5;
+  const std::vector<std::uint8_t> stats = serve::serialize(snap);
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::vector<std::uint8_t> mutant = stats;
+    mutant[gen.below(mutant.size())] ^= static_cast<std::uint8_t>(1 + (gen() & 0xFF));
+    (void)serve::deserialize_snapshot(mutant);
   }
 }
 

@@ -10,7 +10,10 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -271,15 +274,53 @@ TEST(ServeQueue, BlockedProducersAllWakeOnClose) {
   EXPECT_EQ(q.size(), 1u) << "the accepted request still drains";
 }
 
+// Byte offset of the record named `name` in a serialized snapshot (its
+// name-length byte), found by walking the record headers
+// `u8 name length | name | u32 word count | u64 words`.
+std::size_t record_at(const std::vector<std::uint8_t>& wire, std::string_view name) {
+  std::size_t at = 0;
+  while (at < wire.size()) {
+    const std::size_t name_size = wire[at];
+    const std::string here(wire.begin() + static_cast<std::ptrdiff_t>(at + 1),
+                           wire.begin() + static_cast<std::ptrdiff_t>(at + 1 + name_size));
+    if (here == name) return at;
+    std::size_t words = 0;
+    for (std::size_t i = 0; i < 4; ++i) words |= std::size_t{wire[at + 1 + name_size + i]} << (8 * i);
+    at += 1 + name_size + 4 + 8 * words;
+  }
+  ADD_FAILURE() << "no record named " << name;
+  return wire.size();
+}
+
+// Byte size of the record starting at `at`.
+std::size_t record_size(const std::vector<std::uint8_t>& wire, std::size_t at) {
+  const std::size_t name_size = wire[at];
+  std::size_t words = 0;
+  for (std::size_t i = 0; i < 4; ++i) words |= std::size_t{wire[at + 1 + name_size + i]} << (8 * i);
+  return 1 + name_size + 4 + 8 * words;
+}
+
+void append_record(std::vector<std::uint8_t>& wire, std::string_view name,
+                   const std::vector<std::uint64_t>& words) {
+  wire.push_back(static_cast<std::uint8_t>(name.size()));
+  wire.insert(wire.end(), name.begin(), name.end());
+  for (std::size_t i = 0; i < 4; ++i) wire.push_back(static_cast<std::uint8_t>(words.size() >> (8 * i)));
+  for (const std::uint64_t w : words) {
+    for (std::size_t i = 0; i < 8; ++i) wire.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
+  }
+}
+
+std::vector<std::uint8_t> without_record(std::vector<std::uint8_t> wire, std::string_view name) {
+  const std::size_t at = record_at(wire, name);
+  const auto first = wire.begin() + static_cast<std::ptrdiff_t>(at);
+  wire.erase(first, first + static_cast<std::ptrdiff_t>(record_size(wire, at)));
+  return wire;
+}
+
 TEST(ServeStats, SnapshotSerializationRoundTrips) {
   ServiceStatsSnapshot snap;
-  snap.enqueued = 100;
-  snap.shed = 7;
-  snap.rejected_closed = 2;
-  snap.scored = 90;
-  snap.deadline_missed = 1;
-  snap.failed = 0;
-  snap.epoch_swaps = 3;
+  std::uint64_t value = 100;
+  for (const auto& row : kServiceCounters) snap.*row.member = value++;  // all distinct
   snap.latency.counts[10] = 40;
   snap.latency.counts[11] = 50;
   snap.latency.total = 90;
@@ -295,14 +336,9 @@ TEST(ServeStats, SnapshotSerializationRoundTrips) {
   snap.folded_faults.operations = 777;
   snap.folded_faults.faults = 5;
   snap.folded_faults.bit_flips[31] = 3;
-  snap.verdict_queries = 17;
   snap.per_epoch_verdicts[1] = 12;
   snap.per_epoch_verdicts[9] = 5;
   snap.folded_verdict_queries = 8;
-  snap.rejected_on_admission = 13;  // v5 counters
-  snap.evicted = 6;
-  snap.scored_late = 4;
-  snap.throttled = 9;
 
   const std::vector<std::uint8_t> wire = serialize(snap);
   const std::optional<ServiceStatsSnapshot> back = deserialize_snapshot(wire);
@@ -314,37 +350,115 @@ TEST(ServeStats, DeserializeRejectsCorruptedInput) {
   ServiceStatsSnapshot snap;
   snap.scored = 5;
   snap.per_epoch_faults[1].operations = 10;
+  snap.per_epoch_verdicts[1] = 3;
   const std::vector<std::uint8_t> wire = serialize(snap);
+  ASSERT_TRUE(deserialize_snapshot(wire).has_value());
 
   std::vector<std::uint8_t> truncated(wire.begin(), wire.end() - 1);
   EXPECT_FALSE(deserialize_snapshot(truncated).has_value());
-
-  std::vector<std::uint8_t> bad_format = wire;
-  bad_format[0] ^= 0xFF;
-  EXPECT_FALSE(deserialize_snapshot(bad_format).has_value());
 
   std::vector<std::uint8_t> trailing = wire;
   trailing.push_back(0);
   EXPECT_FALSE(deserialize_snapshot(trailing).has_value());
 
-  // A hostile epoch count must be rejected before it drives reads or
-  // allocation (the count field sits after the v5 counters, the two
-  // latency histograms, and the folded-epoch aggregate).
-  std::vector<std::uint8_t> hostile = wire;
-  const std::size_t count_at =
-      1 +
-      8 * (12 + 2 * LatencyHistogram::kBuckets + 1 + 2 + faultsim::BitFaultDistribution::kBits);
-  for (std::size_t i = 0; i < 8; ++i) hostile[count_at + i] = 0xFF;
-  EXPECT_FALSE(deserialize_snapshot(hostile).has_value());
+  // A hostile word count must be rejected before it drives reads or
+  // allocation, in either per-epoch record.
+  for (const std::string_view name : {"per_epoch_faults", "per_epoch_verdicts"}) {
+    std::vector<std::uint8_t> hostile = wire;
+    const std::size_t count_at = record_at(wire, name) + 1 + name.size();
+    for (std::size_t i = 0; i < 4; ++i) hostile[count_at + i] = 0xFF;
+    EXPECT_FALSE(deserialize_snapshot(hostile).has_value()) << name;
+  }
 
-  // Same for the verdict-map count: it is the second-to-last word of a
-  // snapshot with an empty verdict map.
-  std::vector<std::uint8_t> hostile_verdicts = wire;
-  const std::size_t verdict_count_at = wire.size() - 8;
-  for (std::size_t i = 0; i < 8; ++i) hostile_verdicts[verdict_count_at + i] = 0xFF;
-  EXPECT_FALSE(deserialize_snapshot(hostile_verdicts).has_value());
+  // A name length that runs past the end of the payload.
+  std::vector<std::uint8_t> long_name = wire;
+  long_name.push_back(200);
+  long_name.push_back('x');
+  EXPECT_FALSE(deserialize_snapshot(long_name).has_value());
+
+  // Unknown records are skipped wherever they sit: a newer server's extra
+  // counter never breaks an older reader.
+  std::vector<std::uint8_t> newer = wire;
+  append_record(newer, "counter_from_a_newer_server", {1, 2, 3});
+  std::vector<std::uint8_t> newer_first;
+  append_record(newer_first, "zz_unknown", {});
+  newer_first.insert(newer_first.end(), wire.begin(), wire.end());
+  for (const std::vector<std::uint8_t>& bytes : {newer, newer_first}) {
+    const std::optional<ServiceStatsSnapshot> back = deserialize_snapshot(bytes);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(*back, snap);
+  }
+
+  // A known name twice.
+  std::vector<std::uint8_t> duplicate = wire;
+  append_record(duplicate, "scored", {5});
+  EXPECT_FALSE(deserialize_snapshot(duplicate).has_value());
+
+  // A missing known record: a table counter and a non-counter record.
+  EXPECT_FALSE(deserialize_snapshot(without_record(wire, "enqueued")).has_value());
+  EXPECT_FALSE(deserialize_snapshot(without_record(wire, "missed_wait")).has_value());
+
+  // Word counts that do not fit their field.
+  std::vector<std::uint8_t> wide_counter = without_record(wire, "scored");
+  append_record(wide_counter, "scored", {5, 0});
+  EXPECT_FALSE(deserialize_snapshot(wide_counter).has_value());
+  std::vector<std::uint8_t> short_histogram = without_record(wire, "latency");
+  append_record(short_histogram, "latency",
+                std::vector<std::uint64_t>(LatencyHistogram::kBuckets - 1));
+  EXPECT_FALSE(deserialize_snapshot(short_histogram).has_value());
+  std::vector<std::uint8_t> odd_verdicts = without_record(wire, "per_epoch_verdicts");
+  append_record(odd_verdicts, "per_epoch_verdicts", {1, 3, 2});
+  EXPECT_FALSE(deserialize_snapshot(odd_verdicts).has_value());
 
   EXPECT_FALSE(deserialize_snapshot({}).has_value());
+}
+
+TEST(ServeStats, SnapshotsNeverShowATerminalBeforeItsAdmission) {
+  // A thread takes snapshots while 2 blocking submitters feed 2 workers.
+  // The admission must be counted before any worker can see the request,
+  // and the snapshot must read the terminal counters before `enqueued`
+  // (and scored_late before scored), or in_flight() / goodput() wrap.
+  ScoringService service(test_epoch(0.0), ServeConfig{.num_workers = 2, .queue_capacity = 16});
+  std::vector<trace::FeatureSet> workload;
+  for (std::uint64_t i = 0; i < 8; ++i) workload.push_back(make_features(200 + i, 1));
+  std::atomic<bool> done{false};
+  std::uint64_t snapshots = 0;
+  std::uint64_t torn = 0;
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const ServiceStatsSnapshot snap = service.stats();
+      ++snapshots;
+      const std::uint64_t terminal =
+          snap.scored + snap.deadline_missed + snap.failed + snap.evicted;
+      if (terminal > snap.enqueued || snap.scored_late > snap.scored) ++torn;
+    }
+  });
+  constexpr int kPerSubmitter = 20000;
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < 2; ++t) {
+    submitters.emplace_back([&, t] {
+      std::vector<ScoreTicket> tickets(8);
+      for (int i = 0; i < kPerSubmitter; ++i) {
+        ScoreTicket& ticket = tickets[static_cast<std::size_t>(i) % tickets.size()];
+        ticket.wait();
+        // Every fourth request carries a tight deadline, so some score
+        // late or expire in the queue.
+        const auto deadline = i % 4 == 0 ? std::optional(ServiceClock::now() + 20us)
+                                         : std::optional<ServiceClock::time_point>{};
+        (void)service.submit(workload[static_cast<std::size_t>(i + t) % workload.size()],
+                             ticket, deadline);
+      }
+      for (ScoreTicket& ticket : tickets) ticket.wait();
+    });
+  }
+  for (std::thread& s : submitters) s.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_EQ(torn, 0u) << "of " << snapshots << " snapshots";
+  const ServiceStatsSnapshot end = service.stats();
+  EXPECT_EQ(end.enqueued + end.rejected_on_admission, 2u * kPerSubmitter);
+  EXPECT_EQ(end.in_flight(), 0u);
 }
 
 TEST(ServeService, CompletionHookFiresOnCompleteAndOnReject) {
