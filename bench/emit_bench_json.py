@@ -2,8 +2,7 @@
 """Reduce raw benchmark output to the BENCH_*.json scorecards.
 
 Usage: emit_bench_json.py <benchmark_out.json> [BENCH_micro.json]
-       emit_bench_json.py --serve <serve_loadgen_out.json> [BENCH_serve.json]
-       emit_bench_json.py --net <net_loadgen_out.json> [BENCH_net.json]
+       emit_bench_json.py --load <loadgen_out.json> <BENCH_*.json>
        emit_bench_json.py --attack <redteam_campaign_out.json> [BENCH_attack.json]
 
 Micro mode: the CI bench-smoke job runs micro_inference with
@@ -13,21 +12,13 @@ release over release: exact inference, faulty inference at
 er = 0 / 10% / 50%, the PRNG additive-noise baseline, and the raw dot()
 kernels the span-level arithmetic API added.
 
-Serve mode (--serve): reduces a serve_loadgen JSON report to the
-BENCH_serve.json scorecard. The headline is GOODPUT — requests scored
-within their deadline per second — not raw throughput: past saturation a
-server can stay "busy" scoring requests whose deadlines already passed,
-and only goodput tells those apart. Also carries open-loop shed/reject
-fractions, survivor tail latency, and the accounting invariant (every
-request terminal, nothing lost). Stdlib only — CI installs no Python
-packages.
-
-Net mode (--net): reduces a net_loadgen JSON report to the BENCH_net.json
-scorecard — closed-loop round-trip latency and pipelined throughput per
-transport (TCP vs Unix socket, or the remote endpoint in --connect runs),
-shed/throttle fractions, the wire accounting invariant (every frame
-sent came back as exactly one reply; nothing failed in the stack), and,
-for self-hosted runs, the reactor's send() calls per reply frame.
+Load mode (--load): reduces a bench/loadgen report (schema: DESIGN.md
+§11) to one scorecard (BENCH_serve.json, BENCH_net.json, ...): every
+phase's figures plus shed/reject/throttle fractions, the accounting gate,
+the determinism probe's score_hash and the reactor's send() calls per
+reply frame. The headline is GOODPUT, requests scored within their
+deadline per second: past saturation a server can stay "busy" scoring
+requests whose deadlines already passed. Stdlib only.
 
 Attack mode (--attack): reduces a redteam_campaign JSON report to the
 BENCH_attack.json scorecard — the evasion-transfer vs. epoch-period
@@ -70,121 +61,47 @@ SERIES = {
 OPTIONAL_SERIES = {"dot_avx2", "gemm_kernel_avx2_rows16"}
 
 
-def emit_serve(argv):
-    if len(argv) < 1 or len(argv) > 2:
+def emit_load(argv):
+    if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    raw_path = argv[0]
-    out_path = argv[1] if len(argv) == 2 else "BENCH_serve.json"
-
-    with open(raw_path, encoding="utf-8") as f:
+    with open(argv[0], encoding="utf-8") as f:
         raw = json.load(f)
 
-    def phase(name):
-        p = raw.get(name)
-        if p is None:
-            print(f"emit_bench_json: missing phase: {name}", file=sys.stderr)
-            return None
-        submitted = p.get("submitted", 0)
-        return {
-            # Headline: useful work per second. Old reports (pre-v5) lack
-            # the field; fall back to raw throughput so diffs stay readable.
-            "goodput_rps": p.get("goodput_rps", p.get("throughput_rps")),
-            "throughput_rps": p.get("throughput_rps"),
-            "achieved_rate_rps": p.get("achieved_rate_rps"),
-            "p50_us": p.get("p50_us"),
-            "p99_us": p.get("p99_us"),
-            "shed_fraction": (p.get("shed", 0) / submitted) if submitted else 0.0,
-            "rejected_fraction": (p.get("rejected_on_admission", p.get("rejected", 0)) / submitted)
-            if submitted else 0.0,
-            "evicted": p.get("evicted", 0),
-            "scored_late": p.get("scored_late", 0),
-            "deadline_missed": p.get("deadline_missed", 0),
-            "missed_wait_p50_us": p.get("missed_wait_p50_us"),
-            "missed_wait_p99_us": p.get("missed_wait_p99_us"),
-            "epoch_swaps": p.get("epoch_swaps", 0),
-        }
-
-    closed, open_ = phase("closed_loop"), phase("open_loop")
-    if closed is None or open_ is None:
-        return 1
-
-    totals = raw.get("totals", {})
-    scorecard = {
-        "goodput_rps": open_.get("goodput_rps"),  # the headline serving metric
-        "closed_loop": closed,
-        "open_loop": open_,
-        "epoch_swaps": totals.get("epoch_swaps"),
-        "rejected_on_admission": totals.get("rejected_on_admission"),
-        "evicted": totals.get("evicted"),
-        "throttled": totals.get("throttled"),
-        # The serving layer's core promise: after the drain every accepted
-        # request reached a terminal state and nothing was silently lost.
-        "accounting_ok": totals.get("in_flight") == 0 and totals.get("failed") == 0,
-        # Determinism probe digest: FNV-1a over the score bits of a fixed
-        # (seed, admission order) workload. Two runs at different --batch
-        # values must print the same hash — CI compares them.
-        "score_hash": totals.get("score_hash"),
-        "config": raw.get("config", {}),
-    }
-
-    with open(out_path, "w", encoding="utf-8") as f:
-        json.dump(scorecard, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"emit_bench_json: wrote serve scorecard to {out_path}")
-    return 0
-
-
-def emit_net(argv):
-    if len(argv) < 1 or len(argv) > 2:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    raw_path = argv[0]
-    out_path = argv[1] if len(argv) == 2 else "BENCH_net.json"
-
-    with open(raw_path, encoding="utf-8") as f:
-        raw = json.load(f)
-
-    # Phase names are <transport>_<model>; keep whichever transports ran
-    # (tcp+uds self-hosted, or just "remote" in --connect mode).
     phases = {}
-    for name, p in raw.items():
-        if name in ("config", "totals") or not isinstance(p, dict):
-            continue
-        sent = p.get("sent", 0)
-        phases[name] = {
-            "throughput_rps": p.get("throughput_rps"),
-            "p50_us": p.get("p50_us"),
-            "p99_us": p.get("p99_us"),
-            "shed_fraction": (p.get("shed", 0) / sent) if sent else 0.0,
-            "throttled_fraction": (p.get("throttled", 0) / sent) if sent else 0.0,
-            "rejected": p.get("rejected", 0),
-            "errors": p.get("errors", 0),
-        }
-    if not phases:
-        print("emit_bench_json: no phases in net report", file=sys.stderr)
-        return 1
-
-    totals = raw.get("totals", {})
+    for name, p in raw["phases"].items():
+        # Everything the driver reported but the server block, which is
+        # folded into the fractions and the three casualty counts below.
+        card = {k: v for k, v in p.items() if k != "server"}
+        offered = p["sent"] + p["client_shed"]
+        for bucket in ("shed", "rejected", "throttled"):
+            count = p[bucket] + (p["client_shed"] if bucket == "shed" else 0)
+            card[f"{bucket}_fraction"] = count / offered if offered else 0.0
+        for key in ("evicted", "scored_late", "epoch_swaps"):
+            card[key] = p["server"][key]
+        phases[name] = card
+    totals = raw["totals"]
     scorecard = {
         "phases": phases,
-        # The transport's core promise: replies == sends, no frame lost or
-        # failed anywhere between the socket and the scoring ring.
-        "accounting_ok": bool(totals.get("accounting_ok"))
-        and totals.get("server_failed", 0) == 0
-        and totals.get("server_in_flight", 0) == 0,
-        "server_throttled": totals.get("server_throttled", 0),
-        # send() calls per reply frame (self-hosted runs only; None when
-        # driving an external server).
-        "write_calls_per_frame": totals.get("write_calls_per_frame"),
-        "epoch_swaps": totals.get("epoch_swaps"),
-        "config": raw.get("config", {}),
+        # The headline serving metric: useful work per second past
+        # saturation (in-process open loop, when it ran).
+        "goodput_rps": phases.get("inproc_open", {}).get("goodput_rps"),
+        # Every phase's client tally matched the server's counter deltas
+        # bucket for bucket, and nothing failed or stayed in flight.
+        "accounting_ok": bool(totals["accounting_ok"]),
+        # FNV-1a over the score bits of the fixed-seed probe; CI compares
+        # it across batch size, policy, kernel dispatch and build.
+        "score_hash": totals["score_hash"],
+        # send() calls per reply frame (self-hosted wire runs; else None).
+        "write_calls_per_frame": totals["write_calls_per_frame"],
+        "epoch_swaps": totals["epoch_swaps"],
+        "config": raw["config"],
     }
 
-    with open(out_path, "w", encoding="utf-8") as f:
+    with open(argv[1], "w", encoding="utf-8") as f:
         json.dump(scorecard, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"emit_bench_json: wrote net scorecard to {out_path}")
+    print(f"emit_bench_json: wrote load scorecard to {argv[1]}")
     return 0
 
 
@@ -292,10 +209,8 @@ def emit_attack(argv):
 
 
 def main(argv):
-    if len(argv) >= 2 and argv[1] == "--serve":
-        return emit_serve(argv[2:])
-    if len(argv) >= 2 and argv[1] == "--net":
-        return emit_net(argv[2:])
+    if len(argv) >= 2 and argv[1] == "--load":
+        return emit_load(argv[2:])
     if len(argv) >= 2 and argv[1] == "--attack":
         return emit_attack(argv[2:])
     if len(argv) < 2 or len(argv) > 3:

@@ -4,8 +4,8 @@
 // deadline-aware scoring, moving-target epoch reconfiguration — behind
 // real sockets: a TCP endpoint for remote monitors and an optional
 // Unix-domain socket for same-host collectors. Clients speak the framed
-// wire protocol in src/net/frame.hpp (NetClient implements it; so does
-// bench/net_loadgen.cpp).
+// wire protocol in src/net/frame.hpp (NetClient implements it;
+// bench/loadgen --connect drives this daemon through it).
 //
 // The daemon re-rolls the detector's stochastic operating point every
 // --epoch-period-ms, so a connected attacker probes a moving target: the

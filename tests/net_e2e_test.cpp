@@ -388,7 +388,13 @@ TEST(NetE2E, BackpressurePausesReadsAndStaysBounded) {
       sent.fetch_add(1, std::memory_order_relaxed);
     }
   });
-  std::this_thread::sleep_for(300ms);  // let replies pile up unread
+  // Let replies pile up unread until the limit engages. Waiting on the
+  // condition, not on a fixed sleep, keeps a slow (sanitized) run from
+  // draining before enough replies exist to fill the socket buffer.
+  const auto give_up = std::chrono::steady_clock::now() + 30s;
+  while (server.stats().reads_paused == 0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+  }
   std::size_t replies = 0;
   for (; replies < kRequests; ++replies) {
     const Reply reply = client.recv_reply();
